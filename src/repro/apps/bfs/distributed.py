@@ -202,6 +202,7 @@ def run_bfs(cfg: BfsConfig) -> BfsResult:
     root = cfg.root if cfg.root is not None else int(np.argmax(degrees))
 
     sim = Simulator()
+    world = None
     if cfg.transport == "apenet":
         acfg = (cfg.apenet_config or DEFAULT_CONFIG).with_(
             link_bandwidth=cfg.link_bandwidth
@@ -272,6 +273,13 @@ def run_bfs(cfg: BfsConfig) -> BfsResult:
     for st in states:
         levels[st.lo : st.hi] = st.levels[st.lo : st.hi]
         parents[st.lo : st.hi] = st.parents[st.lo : st.hi]
+
+    # The run is over: free its buffers now rather than when the cluster's
+    # reference cycles are next collected.
+    for comm in comms:
+        comm.release()
+    if world is not None:
+        world.finalize()
 
     total_time = max(t_span.values())
     traversed = traversed_edges(graph, levels)
@@ -411,6 +419,17 @@ class _ApenetComm:
         for buf in self.send_bufs.values():
             yield from ep.register(buf.addr, buf.size)
         yield self.sim.timeout(us(50))  # registration settle
+
+    def release(self) -> None:
+        """Free this rank's GPU buffers (after the run)."""
+        for buf in [
+            self.count_buf,
+            self.reduce_buf,
+            self.small_scratch,
+            *self.send_bufs.values(),
+            *self.data_bufs.values(),
+        ]:
+            self.node.gpu.free(buf)
 
     def _wait_matching(self, pred):
         """Generator: next completion event satisfying *pred*."""
@@ -556,6 +575,19 @@ class _MpiComm:
             size = peer.send_bufs[me].size
             self.recv_bufs[p] = node.gpu.alloc(size)
             self.recv_stage[p] = node.runtime.host_alloc(size)
+
+    def release(self) -> None:
+        """Free this rank's GPU buffers and host staging (after the run)."""
+        node = self.world.cluster.node(self.st.rank)
+        for buf in [*self.send_bufs.values(), *self.recv_bufs.values()]:
+            node.gpu.free(buf)
+        for buf in [
+            *self.send_stage.values(),
+            *self.recv_stage.values(),
+            *self.cnt_send.values(),
+            *self.cnt_recv.values(),
+        ]:
+            node.runtime.host_free(buf)
 
     def setup(self):
         """Generator: MPI needs no registration; small settle delay."""

@@ -134,6 +134,20 @@ class CudaRuntime:
         self._host_bufs.insert(idx, buf)
         return buf
 
+    def host_free(self, buf: HostBuffer) -> None:
+        """Free a host buffer (cudaFreeHost equivalent).
+
+        Drops *buf* from the address index and releases its backing array,
+        so the memory goes back at once even while stale references to the
+        buffer object linger.  The address range is never reissued.
+        """
+        idx = bisect.bisect_left(self._host_starts, buf.addr)
+        if idx == len(self._host_bufs) or self._host_bufs[idx] is not buf:
+            raise ValueError(f"{self.name}: host buffer 0x{buf.addr:x} is not allocated")
+        del self._host_starts[idx]
+        del self._host_bufs[idx]
+        buf._data = None
+
     def device_alloc(self, device_index: int, nbytes: int):
         """Allocate device memory (cudaMalloc equivalent)."""
         return self.devices[device_index].alloc(nbytes)

@@ -141,6 +141,7 @@ class DeviceMemoryAllocator:
             raise ValueError("buffer does not belong to this allocator")
         del self._live[buf.addr]
         buf.freed = True
+        buf._data = None  # freed contents are unreachable (use-after-free)
         size = self._round_up(buf.size)
         self._free.append((buf.addr, size))
         self._free.sort()

@@ -354,6 +354,21 @@ class MpiWorld:
             self._endpoints.append(ep)
             self._scratch.append(node.runtime.host_alloc(256).addr)
 
+    def finalize(self) -> None:
+        """Free every endpoint's eager ring and control landing zone.
+
+        The ``MPI_Finalize`` analogue: call once the job's traffic is over.
+        The rings' backing arrays are released at once, so a finished job
+        pins no host memory while its objects wait for garbage collection.
+        A second call is a no-op.
+        """
+        scratch, self._scratch = self._scratch, []
+        for ep, addr in zip(self._endpoints, scratch):
+            rt = ep.node.runtime
+            rt.host_free(ep._eager_rx)
+            rt.host_free(ep._ctrl)
+            rt.host_free(rt.host_buffer_at(addr))
+
     def endpoint(self, rank: int) -> MpiEndpoint:
         """The endpoint for *rank*."""
         return self._endpoints[rank]

@@ -21,6 +21,18 @@ Transactions:
   MRRS-sized requests with a bounded number outstanding (how real DMA
   engines achieve bandwidth despite the read round-trip).
 
+A split read, and every hop after the first of a write quantum, runs as a
+*callback chain* rather than a process: a small ``__slots__`` object whose
+completion callback on each hop's arrival event issues the next step
+(request hops, target latency, target rate limiter, completion hops, then
+the ``done`` event).  The chain starts from one zero-delay kernel event,
+not inline: its first hop must claim its channel only after the same-time
+events already queued, as a process's start event does, or same-time
+contenders reorder.  So results are bit-identical to a process per
+transaction, minus the never-awaited process-completion event.  Routes are
+memoized per (source, destination) node pair; the tree only grows by
+attaching leaves, so a cached route never goes stale.
+
 Timing only: reads do not move Python data (the simulation gives callers
 global visibility of memory objects); writes may carry an opaque payload
 delivered to the target's ``on_write`` hook.
@@ -32,10 +44,20 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..sim import Channel, Event, SimulationError, Simulator
-from .device import PCIeDevice
+from .device import PCIeDevice, ReadBehavior, WriteBehavior
 from .tlp import DEFAULT_MPS, DEFAULT_MRRS, LinkParams, TlpKind, fragment, tlp_overhead
 
 __all__ = ["PCIeFabric", "FabricNode", "FabricLink", "TransferRecord"]
+
+_MEM_READ = TlpKind.MEM_READ
+_MEM_WRITE = TlpKind.MEM_WRITE
+_COMPLETION = TlpKind.COMPLETION
+# A read request is a header-only TLP; completions carry payload.
+_MRD_WIRE = tlp_overhead(_MEM_READ)
+_CPL_OVERHEAD = tlp_overhead(_COMPLETION)
+
+#: One hop of a memoized route: (link, direction, the direction's channel).
+_Hop = tuple["FabricLink", str, Channel]
 
 
 @dataclass
@@ -102,6 +124,167 @@ class FabricNode:
         return chain
 
 
+def _reraise(ev: Event) -> None:
+    raise ev._value
+
+
+class _SplitRead:
+    """One split-transaction read, run as a chain of completion callbacks.
+
+    ``request`` walks the request hops, ``access`` runs once the MRd has
+    reached the target (first-access latency over, rate limiter next),
+    ``complete`` walks the completion hops and finally fires ``done``.
+    """
+
+    __slots__ = (
+        "fabric", "requester", "addr", "nbytes", "behavior", "fwd", "rev",
+        "cpl_wire", "hop", "done",
+    )
+
+    def __init__(
+        self,
+        fabric: "PCIeFabric",
+        requester: str,
+        addr: int,
+        nbytes: int,
+        behavior: ReadBehavior,
+        fwd: tuple[_Hop, ...],
+        rev: tuple[_Hop, ...],
+        done: Event,
+    ):
+        self.fabric = fabric
+        self.requester = requester
+        self.addr = addr
+        self.nbytes = nbytes
+        self.behavior = behavior
+        self.fwd = fwd
+        self.rev = rev
+        # One completion TLP per MPS-aligned chunk the range touches.
+        mps = fabric.mps
+        n_cpl = (addr + nbytes - 1) // mps - addr // mps + 1
+        self.cpl_wire = nbytes + n_cpl * _CPL_OVERHEAD
+        self.hop = 0
+        self.done = done
+
+    def request(self, _ev: Optional[Event]) -> None:
+        """Send the MRd over the next request hop, or reach the target."""
+        fabric = self.fabric
+        hop = self.hop
+        try:
+            if hop < len(self.fwd):
+                self.hop = hop + 1
+                fabric._issue(
+                    self.fwd[hop], _MEM_READ, self.addr, self.nbytes, _MRD_WIRE,
+                    self.requester,
+                ).callbacks.append(self.request)
+                return
+            self.hop = 0
+            latency = self.behavior.latency
+            if latency > 0:
+                fabric.sim.timeout(latency).callbacks.append(self.access)
+                return
+        except BaseException as exc:  # repro: noqa-SIM001 — crash boundary
+            fabric._crash(exc)
+            return
+        self.access(None)
+
+    def access(self, _ev: Optional[Event]) -> None:
+        """First access is over: pace through the target's rate limiter."""
+        limiter = self.behavior.limiter
+        if limiter is None:
+            self.complete(None)
+            return
+        try:
+            limiter.consume(self.nbytes).callbacks.append(self.complete)
+        except BaseException as exc:  # repro: noqa-SIM001 — crash boundary
+            self.fabric._crash(exc)
+
+    def complete(self, _ev: Optional[Event]) -> None:
+        """Send completions over the next return hop, or fire ``done``."""
+        hop = self.hop
+        if hop == len(self.rev):
+            self.done.succeed(self.nbytes)
+            return
+        self.hop = hop + 1
+        fabric = self.fabric
+        try:
+            fabric._issue(
+                self.rev[hop], _COMPLETION, self.addr, self.nbytes, self.cpl_wire,
+                self.requester,
+            ).callbacks.append(self.complete)
+        except BaseException as exc:  # repro: noqa-SIM001 — crash boundary
+            fabric._crash(exc)
+
+
+class _WriteQuantum:
+    """The hops after the first of one posted-write quantum, as a chain.
+
+    ``forward`` walks the remaining hops, then the target's sink limiter;
+    ``absorb`` delivers the payload (final quantum only) and fires ``done``.
+    """
+
+    __slots__ = (
+        "fabric", "requester", "addr", "nbytes", "wire", "delivery",
+        "behavior", "route", "hop", "done",
+    )
+
+    def __init__(
+        self,
+        fabric: "PCIeFabric",
+        requester: str,
+        addr: int,
+        nbytes: int,
+        wire: int,
+        delivery: Optional[tuple[int, int, Any]],
+        behavior: WriteBehavior,
+        route: tuple[_Hop, ...],
+        done: Event,
+    ):
+        self.fabric = fabric
+        self.requester = requester
+        self.addr = addr
+        self.nbytes = nbytes
+        self.wire = wire
+        self.delivery = delivery
+        self.behavior = behavior
+        self.route = route
+        self.hop = 1  # the producer already crossed route[0]
+        self.done = done
+
+    def forward(self, _ev: Optional[Event]) -> None:
+        """Cross the next hop, or enter the target's sink limiter."""
+        fabric = self.fabric
+        hop = self.hop
+        try:
+            if hop < len(self.route):
+                self.hop = hop + 1
+                fabric._issue(
+                    self.route[hop], _MEM_WRITE, self.addr, self.nbytes, self.wire,
+                    self.requester,
+                ).callbacks.append(self.forward)
+                return
+            limiter = self.behavior.limiter
+            if limiter is not None:
+                limiter.consume(self.nbytes).callbacks.append(self.absorb)
+                return
+        except BaseException as exc:  # repro: noqa-SIM001 — crash boundary
+            fabric._crash(exc)
+            return
+        self.absorb(None)
+
+    def absorb(self, _ev: Optional[Event]) -> None:
+        """Absorbed by the target: deliver the payload, fire ``done``."""
+        delivery = self.delivery
+        on_write = self.behavior.on_write
+        if delivery is not None and on_write is not None:
+            try:
+                on_write(*delivery)
+            except BaseException as exc:  # repro: noqa-SIM001 — crash boundary
+                self.fabric._crash(exc)
+                return
+        self.done.succeed(self.nbytes)
+
+
 class PCIeFabric:
     """A tree of PCIe links with address-routed split transactions."""
 
@@ -130,17 +313,50 @@ class PCIeFabric:
         self.root: Optional[FabricNode] = None
         # Address index: sorted list of (base, limit, device).
         self._windows: list[tuple[int, int, PCIeDevice]] = []
+        # Memoized routes, keyed by (src, dst) node (identity hash).
+        self._routes: dict[tuple[FabricNode, FabricNode], tuple[_Hop, ...]] = {}
         # Fault-injection site (repro.faults): when set, every hop transfer
         # consults it for LCRC-triggered TLP replays.  None (the default)
         # leaves the transaction paths bit-identical to the fault-free
         # fabric — the hook is a single predictable branch per hop.
         self.faults = None
 
-    def _hop_wire(self, channel: Channel, wire: int) -> int:
-        """Wire bytes for one hop, inflated by any TLP replays."""
-        if self.faults is None:
-            return wire
-        return wire + self.faults.tlp_extra_wire(channel.name, wire)
+    def _issue(
+        self,
+        hop: _Hop,
+        kind: TlpKind,
+        addr: int,
+        nbytes: int,
+        wire: int,
+        requester: str,
+    ) -> Event:
+        """Start one link crossing; returns the tail's arrival event.
+
+        Analyzer taps see the nominal *wire* bytes; the channel carries
+        them inflated by any TLP replays the fault site draws.
+        """
+        link, direction, channel = hop
+        if link.taps:
+            link.notify(
+                TransferRecord(
+                    self.sim.now, kind, addr, nbytes, wire, direction, requester
+                )
+            )
+        faults = self.faults
+        if faults is not None:
+            wire += faults.tlp_extra_wire(channel.name, wire)
+        return channel.transfer(wire)
+
+    def _crash(self, exc: BaseException) -> None:
+        """Surface a transaction chain's exception out of the kernel.
+
+        A zero-delay failed event whose callback re-raises: the exception
+        escapes ``sim.run()`` at the kernel step where a crashed process's
+        completion event would have, so same-time events still run first.
+        """
+        ev = Event(self.sim)
+        ev.callbacks.append(_reraise)
+        ev.fail(exc)
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -229,6 +445,23 @@ class PCIeFabric:
         self, src: FabricNode, dst: FabricNode
     ) -> list[tuple[FabricLink, str]]:
         """The ordered (link, direction) hops from *src* to *dst*."""
+        return [(link, direction) for link, direction, _ in self._route(src, dst)]
+
+    def _route(self, src: FabricNode, dst: FabricNode) -> tuple[_Hop, ...]:
+        """The memoized hops from *src* to *dst*, with their channels."""
+        key = (src, dst)
+        route = self._routes.get(key)
+        if route is None:
+            route = tuple(
+                (link, direction, link.channel(direction))
+                for link, direction in self._walk(src, dst)
+            )
+            self._routes[key] = route
+        return route
+
+    @staticmethod
+    def _walk(src: FabricNode, dst: FabricNode) -> list[tuple[FabricLink, str]]:
+        """Climb from *src* to the lowest common ancestor, descend to *dst*."""
         if src is dst:
             return []
         src_chain = src.ancestors()
@@ -278,7 +511,7 @@ class PCIeFabric:
             raise SimulationError("write needs a positive size")
         target = self.resolve(addr)
         behavior = target.describe_write(addr)
-        hops = self.path(self._device_node(initiator), self._device_node(target))
+        route = self._route(self._device_node(initiator), self._device_node(target))
         q = quantum or self.write_quantum
         b = batch if batch is not None else self.write_batch
         if b < 1:
@@ -289,7 +522,7 @@ class PCIeFabric:
             span = obs.span("pcie", "write", initiator=initiator.name, nbytes=nbytes)
             done.callbacks.append(span.end_event)
         self.sim.process(
-            self._write_proc(initiator, addr, nbytes, payload, behavior, hops, q, b, done),
+            self._write_proc(initiator, addr, nbytes, payload, behavior, route, q, b, done),
             name=f"wr:{initiator.name}->0x{addr:x}",
         )
         return done
@@ -299,14 +532,14 @@ class PCIeFabric:
         n_tlps = (addr + nbytes - 1) // self.mps - addr // self.mps + 1
         return nbytes + n_tlps * tlp_overhead(TlpKind.MEM_WRITE)
 
-    def _write_proc(self, initiator, addr, nbytes, payload, behavior, hops, q, batch, done):
+    def _write_proc(self, initiator, addr, nbytes, payload, behavior, route, q, batch, done):
         # Split into quanta that pipeline across hops.  The producer issues
         # each quantum's FIRST hop inline so that competing initiators
-        # interleave fairly at shared links; the remaining hops run in a
-        # detached sub-process, giving store-and-forward pipelining.
+        # interleave fairly at shared links; the remaining hops run as a
+        # detached callback chain, giving store-and-forward pipelining.
         #
         # With batch > 1, back-to-back quanta are coalesced: one scheduled
-        # transfer (and one hop sub-process) moves the batch's summed wire
+        # transfer (and one hop chain) moves the batch's summed wire
         # bytes.  TLP framing overhead is still accounted per quantum — the
         # same TLPs cross the wire, the simulator just schedules them as a
         # unit — so delivered bandwidth is unchanged while the event count
@@ -335,64 +568,22 @@ class PCIeFabric:
             if state["left"] == 0:
                 done.succeed(nbytes)
 
+        sim = self.sim
+        requester = initiator.name
+        last = len(groups) - 1
         for i, (qaddr, qsize, wire) in enumerate(groups):
-            is_last = i == len(groups) - 1
-            if hops:
-                first_link, first_dir = hops[0]
-                first_link.notify(
-                    TransferRecord(
-                        self.sim.now,
-                        TlpKind.MEM_WRITE,
-                        qaddr,
-                        qsize,
-                        wire,
-                        first_dir,
-                        initiator.name,
-                    )
-                )
-                first_ch = first_link.channel(first_dir)
-                yield first_ch.transfer(self._hop_wire(first_ch, wire))
-            ev = Event(self.sim)
+            if route:
+                yield self._issue(route[0], _MEM_WRITE, qaddr, qsize, wire, requester)
+            ev = Event(sim)
             ev.callbacks.append(_count)
             # The full payload is delivered once, with the whole write's base
             # address and size, when the final quantum is absorbed.
-            delivery = (addr, nbytes, payload) if is_last else None
-            self.sim.process(
-                self._quantum_rest_proc(
-                    initiator,
-                    qaddr,
-                    qsize,
-                    wire,
-                    delivery,
-                    behavior,
-                    hops[1:],
-                    ev,
-                ),
+            delivery = (addr, nbytes, payload) if i == last else None
+            rest = _WriteQuantum(
+                self, requester, qaddr, qsize, wire, delivery, behavior, route, ev
             )
-
-    def _quantum_rest_proc(
-        self, initiator, addr, nbytes, wire, delivery, behavior, hops, done
-    ):
-        for link, direction in hops:
-            ch = link.channel(direction)
-            link.notify(
-                TransferRecord(
-                    self.sim.now,
-                    TlpKind.MEM_WRITE,
-                    addr,
-                    nbytes,
-                    wire,
-                    direction,
-                    initiator.name,
-                )
-            )
-            yield ch.transfer(self._hop_wire(ch, wire))
-        if behavior.limiter is not None:
-            yield behavior.limiter.consume(nbytes)
-        if delivery is not None and behavior.on_write is not None:
-            base_addr, total_nbytes, payload = delivery
-            behavior.on_write(base_addr, total_nbytes, payload)
-        done.succeed(nbytes)
+            # Zero-delay start, not inline: same-time contenders keep order.
+            sim._wake_event(True, None).callbacks.append(rest.forward)
 
     # ------------------------------------------------------------------
     # Split-transaction reads
@@ -409,57 +600,21 @@ class PCIeFabric:
             )
         target = self.resolve(addr)
         behavior = target.describe_read(addr)
-        fwd = self.path(self._device_node(initiator), self._device_node(target))
-        rev = self.path(self._device_node(target), self._device_node(initiator))
-        done = Event(self.sim)
-        obs = self.sim._obs
+        src = self._device_node(initiator)
+        dst = self._device_node(target)
+        sim = self.sim
+        done = Event(sim)
+        obs = sim._obs
         if obs is not None:
             span = obs.span("pcie", "read", initiator=initiator.name, nbytes=nbytes)
             done.callbacks.append(span.end_event)
-        self.sim.process(
-            self._read_proc(initiator, addr, nbytes, behavior, fwd, rev, done),
-            name=f"rd:{initiator.name}<-0x{addr:x}",
+        chain = _SplitRead(
+            self, initiator.name, addr, nbytes, behavior,
+            self._route(src, dst), self._route(dst, src), done,
         )
+        # Zero-delay start, not inline: same-time contenders keep order.
+        sim._wake_event(True, None).callbacks.append(chain.request)
         return done
-
-    def _read_proc(self, initiator, addr, nbytes, behavior, fwd, rev, done):
-        req_wire = tlp_overhead(TlpKind.MEM_READ)
-        for link, direction in fwd:
-            ch = link.channel(direction)
-            link.notify(
-                TransferRecord(
-                    self.sim.now,
-                    TlpKind.MEM_READ,
-                    addr,
-                    nbytes,
-                    req_wire,
-                    direction,
-                    initiator.name,
-                )
-            )
-            yield ch.transfer(self._hop_wire(ch, req_wire))
-        # Target first-access latency, then sustained-rate pacing.
-        if behavior.latency > 0:
-            yield self.sim.timeout(behavior.latency)
-        if behavior.limiter is not None:
-            yield behavior.limiter.consume(nbytes)
-        n_cpl = sum(1 for _ in fragment(addr, nbytes, self.mps))
-        cpl_wire = nbytes + n_cpl * tlp_overhead(TlpKind.COMPLETION)
-        for link, direction in rev:
-            ch = link.channel(direction)
-            link.notify(
-                TransferRecord(
-                    self.sim.now,
-                    TlpKind.COMPLETION,
-                    addr,
-                    nbytes,
-                    cpl_wire,
-                    direction,
-                    initiator.name,
-                )
-            )
-            yield ch.transfer(self._hop_wire(ch, cpl_wire))
-        done.succeed(nbytes)
 
     def read_pipelined(
         self,

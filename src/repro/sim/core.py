@@ -667,9 +667,10 @@ class Simulator:
     def _wake_event(self, ok: bool, value: Any) -> Event:
         """A pooled, pre-triggered event scheduled at the current time.
 
-        Kernel-internal: backs the Process init/wake machinery, where the
-        event object is provably unreachable from model code once its
-        single ``_resume`` callback has run.
+        Kernel-internal: backs the Process init/wake machinery and the
+        start of the PCIe fabric's transaction chains, where the event
+        object is provably unreachable from model code once its single
+        callback has run.
         """
         pool = self._pool
         free = pool.events

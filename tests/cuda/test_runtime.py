@@ -29,6 +29,38 @@ def test_host_alloc_addresses_disjoint():
     assert rt.host_buffer_at(b.addr) is b
 
 
+def test_host_free_drops_index_entry_and_array():
+    sim, plat, rt = build()
+    a = rt.host_alloc(5000)
+    b = rt.host_alloc(100)
+    a.data[:] = 1
+    rt.host_free(a)
+    assert a._data is None
+    with pytest.raises(KeyError):
+        rt.host_buffer_at(a.addr)
+    with pytest.raises(KeyError):
+        rt.pointer_attributes(a.addr + 10)
+    assert rt.host_buffer_at(b.addr) is b
+    # Freed ranges are never reissued.
+    assert rt.host_alloc(100).addr > b.addr
+
+
+def test_host_free_rejects_double_and_foreign_frees():
+    sim, plat, rt = build()
+    a = rt.host_alloc(64)
+    rt.host_free(a)
+    with pytest.raises(ValueError, match="not allocated"):
+        rt.host_free(a)
+    mine = rt.host_alloc(64)
+    other = build()[2]
+    other.host_alloc(64)
+    theirs = other.host_alloc(64)
+    assert theirs.addr == mine.addr  # the same address on another node
+    with pytest.raises(ValueError, match="not allocated"):
+        rt.host_free(theirs)
+    assert rt.host_buffer_at(mine.addr) is mine
+
+
 def test_host_alloc_rejects_nonpositive():
     sim, plat, rt = build()
     with pytest.raises(ValueError):

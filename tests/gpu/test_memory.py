@@ -67,6 +67,14 @@ def test_use_after_free_rejected():
         _ = b.data
 
 
+def test_free_releases_backing_array():
+    a = make_alloc()
+    b = a.alloc(64)
+    b.data[:] = 7
+    a.free(b)
+    assert b._data is None
+
+
 def test_buffer_at_resolves():
     a = make_alloc()
     b = a.alloc(1000)

@@ -32,6 +32,34 @@ def test_eager_send_recv_moves_data():
     np.testing.assert_array_equal(dst.data, src.data)
 
 
+def test_finalize_frees_eager_and_control_rings():
+    sim, cluster, world = make_mpi_pair()
+    a, b = world.endpoint(0), world.endpoint(1)
+    src = cluster.node(0).runtime.host_alloc(1024)
+    dst = cluster.node(1).runtime.host_alloc(1024)
+    src.data[:] = 3
+
+    def rank0():
+        yield from a.send(1, src.addr, 1024, tag=7)
+
+    def rank1():
+        yield from b.recv(0, dst.addr, 1024, tag=7)
+
+    sim.process(rank0())
+    sim.process(rank1())
+    sim.run()
+    rings = [(ep, ep._eager_rx) for ep in (a, b)] + [(ep, ep._ctrl) for ep in (a, b)]
+    assert b._eager_rx._data is not None  # the eager copy-in materialized it
+    world.finalize()
+    for ep, ring in rings:
+        assert ring._data is None
+        with pytest.raises(KeyError):
+            ep.node.runtime.host_buffer_at(ring.addr)
+    # User buffers are the application's to free.
+    assert cluster.node(1).runtime.host_buffer_at(dst.addr) is dst
+    world.finalize()  # a second call is a no-op
+
+
 def test_rendezvous_send_recv_moves_data():
     sim, cluster, world = make_mpi_pair()
     a, b = world.endpoint(0), world.endpoint(1)
