@@ -23,7 +23,7 @@ from .gpu import FERMI_2050, FERMI_2070, FERMI_2075, KEPLER_K10, KEPLER_K20, GPU
 from .net import ApenetCluster, ClusterNode, TorusShape, build_apenet_cluster
 from .sim import Simulator
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "Simulator",

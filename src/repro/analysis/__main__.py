@@ -43,10 +43,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     from ..bench import harness  # deferred: pulls in the whole model
-    from ..sim.sched import BACKEND_ENV, resolve_backend
 
-    backend = resolve_backend(args.backend)
-    os.environ[BACKEND_ENV] = backend  # both runs, so identity is per-backend
     quick = not args.full
     failed = False
     for exp_id in args.experiments:
@@ -63,7 +60,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         events = sum(r.events_processed for r in reports)
         status = "OK" if (identical and not violations) else "FAIL"
         print(
-            f"[{status}] {exp_id} [{backend}]: {len(reports)} simulator(s), "
+            f"[{status}] {exp_id}: {len(reports)} simulator(s), "
             f"{events} events, {len(violations)} violation(s), golden rows "
             f"{'identical' if identical else 'DRIFTED'}"
         )
@@ -109,12 +106,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_san.add_argument("experiments", nargs="+", help="experiment ids (e.g. selftest faults)")
     p_san.add_argument(
         "--full", action="store_true", help="full (paper-parameter) mode instead of quick"
-    )
-    p_san.add_argument(
-        "--backend",
-        default=None,
-        help="simulator backend for both runs (heap|wheel; default: "
-        "REPRO_BACKEND or heap)",
     )
     p_san.set_defaults(func=_cmd_sanitize)
 

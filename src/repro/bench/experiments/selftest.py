@@ -9,13 +9,10 @@ other experiment runs on.  It times one identical workload twice:
   :meth:`Simulator.step`, the un-inlined reference implementation (the
   seed kernel's per-event machinery).
 
-Since the kernel became multi-backend it also benchmarks every event-queue
-backend (:data:`repro.sim.sched.BACKENDS`) on a procs × steps grid of the
-mixed workload plus a timer-heavy retransmission scenario (the dominant
-traffic class since the fault/recovery layers landed), reporting events/sec
-and speedup-vs-``heap`` rows.  The raw numbers land in the result's
-``data["kernel_bench"]`` block, which the runner can export as
-``BENCH_kernel.json`` for the CI perf-history gate.
+It also times a timer-heavy retransmission scenario (the dominant traffic
+class since the fault/recovery layers landed).  The events/sec of both
+scenarios land in the result's ``data["kernel_bench"]`` block, which the
+runner can export as ``BENCH_kernel.json`` for the CI perf-history gate.
 
 It also quantifies the optional back-to-back TLP batching of
 :meth:`PCIeFabric.write` as a simulated-event reduction factor, and
@@ -26,13 +23,14 @@ bit-identical and that spans arrive from every stack layer.
 
 Wall-clock numbers (and the speedups) appear only in the rendered output
 and the ``data`` block — ``comparisons`` carries exclusively deterministic
-quantities (event counts, cross-backend parity checks, reduction factors)
+quantities (event counts, parity checks, reduction factors)
 so that cached, serial and parallel sweeps stay bit-identical.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 import time
 
 from ...apenet import BufferKind
@@ -42,7 +40,7 @@ from ...mpi.comm import MpiWorld
 from ...obs import TraceSession
 from ...pcie.device import HostMemory
 from ...pcie.fabric import PCIeFabric
-from ...sim import BACKENDS, Channel, Simulator
+from ...sim import Channel, Simulator
 from ...units import GBps, kib, ns, us
 from ..harness import ExperimentError, ExperimentResult, register
 from ..microbench import make_cluster
@@ -51,9 +49,7 @@ from ..tables import render_table
 __all__ = [
     "kernel_workload",
     "timer_workload",
-    "time_kernel",
     "time_workload",
-    "backend_bench",
     "batching_events",
     "observability_smoke",
 ]
@@ -97,42 +93,44 @@ def timer_workload(sim: Simulator, n_agents: int, n_rounds: int) -> None:
     Models what the ACK/NAK and recovery layers do to the event queue:
     every agent repeatedly arms a short replay timer (yield-and-drop) and
     posts a fire-and-forget ack-window timer nobody joins on.  Nearly all
-    events are pooled Timeouts landing a few ns out, which is the calendar
-    queue's best case and the binary heap's densest sift traffic.
+    events are Timeouts landing a few ns out: the event heap's densest
+    sift traffic.
     """
     base = ns(1.0)
 
     def retry_agent(i):
         for k in range(n_rounds):
             # Replay timer with a deterministic pseudo-backoff spread.
-            yield sim.pooled_timeout(base + 0.125 * ((i + k) % 32))
+            yield sim.timeout(base + 0.125 * ((i + k) % 32))
             # Ack-window timer, fire-and-forget.
-            sim.pooled_timeout(0.5 * base + 0.0625 * ((i * 3 + k) % 16))
+            sim.timeout(0.5 * base + 0.0625 * ((i * 3 + k) % 16))
 
     for i in range(n_agents):
         sim.process(retry_agent(i))
 
 
-def time_kernel(
-    n_procs: int,
-    n_steps: int,
-    generic: bool,
-    repeats: int = 3,
-    backend: str = "heap",
-):
-    """Best-of-*repeats* wall time (s) and event count for the workload."""
+def time_workload(build, generic: bool = False, repeats: int = 3):
+    """Best-of-*repeats* (wall s, events) for ``build(sim)``.
+
+    ``generic=True`` drains through :meth:`Simulator.step` one event at a
+    time instead of the inlined :meth:`Simulator.run` loop.  Cyclic GC is
+    collected then paused around the timed drain so the number measures
+    the kernel, not whatever garbage the surrounding sweep happens to
+    have accumulated (inside a full ``repro.bench`` sweep, ambient GC
+    pauses otherwise halve the reported throughput).
+    """
     best = float("inf")
     events = 0
     for _ in range(repeats):
-        sim = Simulator(backend=backend)
-        kernel_workload(sim, n_procs, n_steps)
+        sim = Simulator()
+        build(sim)
         gc_was_on = gc.isenabled()
         gc.collect()
         gc.disable()
         try:
             t0 = time.perf_counter()
             if generic:
-                while sim.pending_count():
+                while sim.peek() < math.inf:
                     sim.step()
             else:
                 sim.run()
@@ -144,96 +142,13 @@ def time_kernel(
     return best, events
 
 
-def time_workload(build, backend: str, repeats: int = 3):
-    """Best-of-*repeats* (wall s, events) for ``build(sim)`` on *backend*.
-
-    Cyclic GC is collected then paused around the timed drain so the
-    number measures the kernel, not whatever garbage the surrounding
-    sweep happens to have accumulated (inside a full ``repro.bench``
-    sweep, ambient GC pauses otherwise halve the reported throughput).
-    """
-    best = float("inf")
-    events = 0
-    for _ in range(repeats):
-        sim = Simulator(backend=backend)
-        build(sim)
-        gc_was_on = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            sim.run()
-            best = min(best, time.perf_counter() - t0)
-        finally:
-            if gc_was_on:
-                gc.enable()
-        events = sim.events_processed
-    return best, events
-
-
-def backend_bench(n_procs: int, n_steps: int, repeats: int = 3) -> dict:
-    """Benchmark every kernel backend on the grid + timer scenario.
-
-    Returns a dict keyed by backend name; each entry carries per-scenario
-    ``{wall_s, events, events_per_s}`` plus aggregate events/sec and
-    speedup vs the ``heap`` reference.  Event counts must agree across
-    backends (bit-identity) — the caller turns that into a comparison row.
-
-    Repeats are interleaved across backends (round-robin, best-of kept)
-    so slow drift in machine speed — thermal throttling, noisy CI
-    neighbours — biases every backend equally instead of whichever ran
-    last.
-    """
-    grid = [
-        (max(1, n_procs // 2), max(1, n_steps // 2)),
-        (n_procs, n_steps),
-    ]
-    scenarios: list[tuple[str, object]] = [
-        (
-            f"mixed {p}x{s}",
-            (lambda sim, p=p, s=s: kernel_workload(sim, p, s)),
-        )
-        for p, s in grid
-    ]
-    scenarios.append(
-        (
-            f"timers {n_procs}x{n_steps}",
-            (lambda sim: timer_workload(sim, n_procs, n_steps)),
-        )
-    )
-    best: dict = {b: {} for b in BACKENDS}
-    for _ in range(repeats):
-        for backend in BACKENDS:
-            for label, build in scenarios:
-                wall_s, events = time_workload(build, backend, repeats=1)
-                prev = best[backend].get(label)
-                if prev is None or wall_s < prev[0]:
-                    best[backend][label] = (wall_s, events)
-    out: dict = {}
-    for backend in BACKENDS:
-        per = {}
-        total_s = 0.0
-        total_events = 0
-        for label, _ in scenarios:
-            wall_s, events = best[backend][label]
-            per[label] = {
-                "wall_s": wall_s,
-                "events": events,
-                "events_per_s": events / wall_s if wall_s > 0 else float("inf"),
-            }
-            total_s += wall_s
-            total_events += events
-        out[backend] = {
-            "scenarios": per,
-            "events": total_events,
-            "wall_s": total_s,
-            "events_per_s": total_events / total_s if total_s > 0 else float("inf"),
-        }
-    heap_eps = out["heap"]["events_per_s"]
-    for backend in BACKENDS:
-        eps = out[backend]["events_per_s"]
-        out[backend]["speedup_vs_heap"] = eps / heap_eps if heap_eps > 0 else 1.0
-    return out
+def _rate(wall_s: float, events: int) -> dict:
+    """One scenario's ``{wall_s, events, events_per_s}`` block."""
+    return {
+        "wall_s": wall_s,
+        "events": events,
+        "events_per_s": events / wall_s if wall_s > 0 else float("inf"),
+    }
 
 
 def batching_events(batch: int, nbytes: int = 1 << 19):
@@ -335,23 +250,34 @@ def observability_smoke():
     }
 
 
-@register("selftest", "DES kernel self-benchmark (backends, fast vs generic path)", "—")
+@register("selftest", "DES kernel self-benchmark (fast vs generic path)", "—")
 def run_selftest(quick: bool) -> ExperimentResult:
     """Time the DES kernel's inlined run loop against the generic
-    ``step()`` reference, benchmark every event-queue backend on a mixed
-    grid plus a timer-heavy retransmission scenario, and quantify the
-    event-count reduction of batched TLP write scheduling."""
+    ``step()`` reference and on a timer-heavy retransmission scenario,
+    and quantify the event-count reduction of batched TLP write
+    scheduling."""
     n_procs, n_steps = (240, 120) if quick else (600, 400)
 
-    fast_s, fast_events = time_kernel(n_procs, n_steps, generic=False)
-    generic_s, generic_events = time_kernel(n_procs, n_steps, generic=True)
+    def mixed(sim):
+        kernel_workload(sim, n_procs, n_steps)
+
+    def timers(sim):
+        timer_workload(sim, n_procs, n_steps)
+
+    fast_s, fast_events = time_workload(mixed)
+    generic_s, generic_events = time_workload(mixed, generic=True)
     speedup = generic_s / fast_s if fast_s > 0 else float("inf")
     events_per_s = fast_events / fast_s if fast_s > 0 else float("inf")
 
-    bench = backend_bench(n_procs, n_steps)
-    backends_agree = (
-        len({bench[b]["events"] for b in BACKENDS}) == 1
-    )
+    timer_s, timer_events = time_workload(timers)
+    timer_rate = _rate(timer_s, timer_events)
+    bench = {
+        "scenarios": {
+            f"mixed {n_procs}x{n_steps}": _rate(fast_s, fast_events),
+            f"timers {n_procs}x{n_steps}": timer_rate,
+        },
+        **_rate(fast_s + timer_s, fast_events + timer_events),
+    }
 
     t_plain, ev_plain = batching_events(batch=1)
     t_batched, ev_batched = batching_events(batch=8)
@@ -367,28 +293,11 @@ def run_selftest(quick: bool) -> ExperimentResult:
         ["generic path (step loop)", f"{generic_s * 1e3:.1f} ms", f"{generic_events}"],
         ["speedup", f"{speedup:.2f}x", "—"],
         ["throughput (fast)", f"{events_per_s / 1e6:.2f} Mev/s", "—"],
-    ]
-    for backend in BACKENDS:
-        b = bench[backend]
-        rows.append(
-            [
-                f"backend {backend}",
-                f"{b['events_per_s'] / 1e6:.2f} Mev/s "
-                f"({b['speedup_vs_heap']:.2f}x vs heap)",
-                f"{b['events']}",
-            ]
-        )
-        for label, s in b["scenarios"].items():
-            rows.append(
-                [
-                    f"  {backend}: {label}",
-                    f"{s['wall_s'] * 1e3:.1f} ms "
-                    f"({s['events_per_s'] / 1e6:.2f} Mev/s)",
-                    f"{s['events']}",
-                ]
-            )
-    rows += [
-        ["backends bit-parity", "yes" if backends_agree else "NO", "—"],
+        [
+            "timer-heavy (fast)",
+            f"{timer_s * 1e3:.1f} ms ({timer_rate['events_per_s'] / 1e6:.2f} Mev/s)",
+            f"{timer_events}",
+        ],
         ["write batch=1", f"t={t_plain:.0f} ns", f"{ev_plain}"],
         ["write batch=8", f"t={t_batched:.0f} ns", f"{ev_batched}"],
         ["batching event reduction", f"{reduction:.2f}x", "—"],
@@ -418,12 +327,6 @@ def run_selftest(quick: bool) -> ExperimentResult:
             1.0,
             "bool",
         ),
-        (
-            "backend event parity (heap == wheel)",
-            1.0 if backends_agree else 0.0,
-            1.0,
-            "bool",
-        ),
         ("TLP batching event reduction (batch=8)", reduction, None, "x"),
         ("TLP batching completion-time shift", time_shift, None, "%"),
         (
@@ -441,7 +344,7 @@ def run_selftest(quick: bool) -> ExperimentResult:
     ]
     return ExperimentResult(
         experiment_id="selftest",
-        title="DES kernel self-benchmark (backends, fast vs generic path)",
+        title="DES kernel self-benchmark (fast vs generic path)",
         rendered=rendered,
         comparisons=comparisons,
         data={

@@ -10,17 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["TorusShape", "Coord", "DIMS", "OPPOSITE"]
+__all__ = ["TorusShape", "Coord", "DIMS"]
 
 Coord = tuple[int, int, int]
 
 # Port naming: (dimension index, direction). "X+" = (0, +1), etc.
 DIMS = ("X", "Y", "Z")
-
-
-def OPPOSITE(direction: int) -> int:
-    """The reverse link direction."""
-    return -direction
 
 
 @dataclass(frozen=True)

@@ -362,7 +362,6 @@ def run_scale_bfs(
     config: Optional[ApenetConfig] = None,
     dead_links: Iterable = (),
     shards: int = 1,
-    backend: Optional[str] = None,
     gpu_spec=FERMI_2050,
     src_kind: BufferKind = BufferKind.GPU,
     dst_kind: BufferKind = BufferKind.GPU,
@@ -380,7 +379,7 @@ def run_scale_bfs(
     shape = TorusShape(*dims)
     R = shape.size
     dead = normalize_dead_links(shape, dead_links)
-    cal = calibrate(config, src_kind, dst_kind, backend=backend)
+    cal = calibrate(config, src_kind, dst_kind)
     kernel = BfsKernelModel(gpu_spec)
 
     n_vertices = 1 << scale

@@ -51,14 +51,13 @@ def run_exact(
     transfers: Sequence[BulkTransfer],
     config: Optional[ApenetConfig] = None,
     dead_links: Iterable = (),
-    backend: Optional[str] = None,
 ) -> TransferAggregates:
     """Run *transfers* through the per-packet stack on a *dims* torus."""
     config = config or DEFAULT_CONFIG
     shape = TorusShape(*dims)
     dead = normalize_dead_links(shape, dead_links)
 
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     manager = RecoveryManager(sim, shape)
     for coord, dim, direction in sorted(dead):
         manager.mark_dead(coord, dim, direction, site="scale.exact")

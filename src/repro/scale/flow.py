@@ -18,9 +18,9 @@ through the golden per-packet stack and fits
 * back-to-back *occupancy* knots (the steady-state gap between
   consecutive same-path messages, the LogP ``g`` of the flow model).
 
-Because the exact simulator is deterministic and backend-bit-identical,
-calibration is a pure function of the :class:`~repro.apenet.config.
-ApenetConfig` and the buffer kinds; it is memoised module-wide.
+Because the exact simulator is deterministic, calibration is a pure
+function of the :class:`~repro.apenet.config.ApenetConfig` and the
+buffer kinds; it is memoised module-wide.
 
 Contention between concurrent flows is modelled with per-resource
 *free times* (TX endpoint, RX endpoint, every traversed link): a flow
@@ -345,11 +345,10 @@ def calibrate(
     config: Optional[ApenetConfig] = None,
     src_kind: BufferKind = BufferKind.HOST,
     dst_kind: BufferKind = BufferKind.HOST,
-    backend: Optional[str] = None,
 ) -> FlowCalibration:
     """Fit a :class:`FlowCalibration` by probing the exact per-packet stack.
 
-    Deterministic (the DES is seedless and backend-bit-identical), so the
+    Deterministic (the DES is seedless), so the
     result is memoised per ``(config, kinds)``.  Probes run on 2- and
     4-node line tori and take a few tiny simulations each.
     """
@@ -365,7 +364,7 @@ def calibrate(
     half = MAX_PACKET_PAYLOAD // 2
 
     def probe(dims, transfers):
-        agg = run_exact(dims, transfers, config=config, backend=backend)
+        agg = run_exact(dims, transfers, config=config)
         return agg.completions
 
     def one(dims, src, dst, nbytes):
@@ -497,12 +496,10 @@ class FlowNetwork:
         dims: Tuple[int, int, int],
         config: Optional[ApenetConfig] = None,
         dead_links: Iterable = (),
-        backend: Optional[str] = None,
     ):
         self.shape = TorusShape(*dims)
         self.config = config or DEFAULT_CONFIG
         self.dead = normalize_dead_links(self.shape, dead_links)
-        self.backend = backend
         self.records: List[FlowRecord] = []
         self.link_bytes: Dict[Tuple[int, int, int], int] = {}
         self.link_packets: Dict[Tuple[int, int, int], int] = {}
@@ -527,9 +524,7 @@ class FlowNetwork:
         """The (memoised) calibration used for this network's config."""
         key = (src_kind, dst_kind)
         if key not in self._cals:
-            self._cals[key] = calibrate(
-                self.config, src_kind, dst_kind, backend=self.backend
-            )
+            self._cals[key] = calibrate(self.config, src_kind, dst_kind)
         return self._cals[key]
 
     def _obs_scope(self):
@@ -543,7 +538,7 @@ class FlowNetwork:
         if self._obs_sim is None:
             from ..sim import Simulator
 
-            self._obs_sim = Simulator(backend=self.backend)
+            self._obs_sim = Simulator()
         return self._obs_sim._obs
 
     # -- the engine ---------------------------------------------------------

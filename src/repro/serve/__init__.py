@@ -4,8 +4,8 @@ The batch front end (``python -m repro.bench``) answers one interconnect
 question per process; this package turns the same execution core
 (:class:`~repro.bench.engine.ExecutionEngine`) into a long-running
 capacity-planning service: an asyncio HTTP server (stdlib only) that
-accepts simulation requests (experiment id, quick/full, kernel backend,
-optional tracing), deduplicates them against the on-disk result cache the
+accepts simulation requests (experiment id, quick/full, optional
+tracing), deduplicates them against the on-disk result cache the
 CLI already shares, runs them on a supervised worker-process pool, and
 exports Prometheus metrics.
 

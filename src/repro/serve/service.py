@@ -11,7 +11,7 @@ owns:
   unboundedly (overload degrades explicitly, not by OOM);
 * **request deduplication**: the coalescing key is the runner's
   :func:`~repro.bench.runner.cache_key` (experiment, quick, calibration,
-  backend, version) plus the trace flag — identical concurrent
+  version) plus the trace flag — identical concurrent
   submissions attach to one in-flight execution, and completed results
   are answered from the shared on-disk :class:`~repro.bench.runner.ResultCache`
   (the same cache ``python -m repro.bench`` reads and writes);
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,7 +42,6 @@ from .. import __version__
 from ..bench import harness
 from ..bench.engine import deterministic_view
 from ..bench.runner import ResultCache, cache_key, default_cache_dir
-from ..sim.sched import resolve_backend
 from .metrics import Registry
 from .supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 
@@ -88,12 +88,11 @@ class _Request:
     id: str
     experiment_id: str
     quick: bool
-    backend: Optional[str]
     trace: bool
     key: str
     submitted_m: float  # monotonic, for latency
     state: str = "queued"  # queued | running | done | failed
-    outcome: Optional[str] = None  # done|timeout|worker-crash|execution-error
+    outcome: Optional[str] = None  # done|timeout|worker-crash|execution-error|internal-error
     cached: bool = False
     coalesced: bool = False
     attempts: int = 0
@@ -109,7 +108,6 @@ class _Request:
             "request_id": self.id,
             "experiment": self.experiment_id,
             "quick": self.quick,
-            "backend": self.backend,
             "trace": self.trace,
             "state": self.state,
             "outcome": self.outcome,
@@ -205,11 +203,10 @@ class SimulationService:
         r = self.registry = Registry()
         self.m_info = r.gauge(
             "repro_serve_info",
-            "Constant 1, with the package version and active default backend "
-            "as labels.",
-            ("version", "backend"),
+            "Constant 1, with the package version as a label.",
+            ("version",),
         )
-        self.m_info.set(1, version=__version__, backend=resolve_backend(None))
+        self.m_info.set(1, version=__version__)
         self.m_up = r.gauge(
             "repro_serve_up",
             "1 while accepting work, 0 once draining for shutdown.",
@@ -250,7 +247,7 @@ class SimulationService:
         self.m_completed = r.counter(
             "repro_serve_completed_total",
             "Terminal requests, by outcome "
-            "(done|timeout|execution-error|worker-crash).",
+            "(done|timeout|execution-error|worker-crash|internal-error).",
             ("outcome",),
         )
         self.m_latency = r.histogram(
@@ -328,7 +325,7 @@ class SimulationService:
         self._seq += 1
         return f"req-{self._seq:06d}"
 
-    def _parse(self, body: dict) -> tuple[str, bool, Optional[str], bool, bool, float]:
+    def _parse(self, body: dict) -> tuple[str, bool, bool, bool, float]:
         if not isinstance(body, dict):
             raise Rejected(400, "request body must be a JSON object")
         experiment_id = body.get("experiment")
@@ -341,12 +338,6 @@ class SimulationService:
         quick = body.get("quick", True)
         if not isinstance(quick, bool):
             raise Rejected(400, "'quick' must be a boolean")
-        backend = body.get("backend")
-        if backend is not None:
-            try:
-                backend = resolve_backend(backend)
-            except ValueError as exc:
-                raise Rejected(400, str(exc)) from None
         trace = body.get("trace", False)
         if not isinstance(trace, bool):
             raise Rejected(400, "'trace' must be a boolean")
@@ -357,7 +348,7 @@ class SimulationService:
         if not isinstance(deadline_s, (int, float)) or isinstance(deadline_s, bool) \
                 or not deadline_s > 0:
             raise Rejected(400, "'deadline_s' must be a positive number")
-        return experiment_id, quick, backend, trace, use_cache, float(deadline_s)
+        return experiment_id, quick, trace, use_cache, float(deadline_s)
 
     async def submit(self, body: dict) -> tuple[int, dict]:
         """Admit one submission; returns ``(http_status, response_doc)``.
@@ -372,9 +363,9 @@ class SimulationService:
             raise Rejected(
                 503, "service is draining", retry_after_s=self.config.retry_after_s
             )
-        experiment_id, quick, backend, trace, use_cache, deadline_s = self._parse(body)
+        experiment_id, quick, trace, use_cache, deadline_s = self._parse(body)
         use_cache = use_cache and self.config.use_cache and not trace
-        key = cache_key(experiment_id, quick, backend)
+        key = cache_key(experiment_id, quick)
         if trace:
             key += "+trace"
 
@@ -382,7 +373,6 @@ class SimulationService:
             id=self._next_id(),
             experiment_id=experiment_id,
             quick=quick,
-            backend=backend,
             trace=trace,
             key=key,
             submitted_m=time.monotonic(),
@@ -427,9 +417,7 @@ class SimulationService:
                 retry_after_s=self.config.retry_after_s,
             )
 
-        spec = WorkSpec(
-            experiment_id=experiment_id, quick=quick, backend=backend, trace=trace
-        )
+        spec = WorkSpec(experiment_id=experiment_id, quick=quick, trace=trace)
         exe = _Execution(
             key, spec, deadline_s, t0_m=time.monotonic(), use_cache=use_cache
         )
@@ -467,30 +455,57 @@ class SimulationService:
 
     async def _run_execution(self, exe: _Execution) -> None:
         t_queue = self._now_ns()
-        async with self._slots:
-            exe.state = "running"
-            for rid in exe.request_ids:
-                req = self._requests.get(rid)
-                if req is not None:
-                    req.state = "running"
-            self.m_queue_depth.set(
-                sum(1 for e in self._executions.values() if e.state == "queued")
-            )
-            self._span(exe.spans, "queue", t_queue)
-            t_exec = self._now_ns()
-            result = await asyncio.to_thread(
-                self.supervisor.run, exe.spec, exe.deadline_s
-            )
-            self._span(
-                exe.spans,
-                "execute",
-                t_exec,
-                outcome=result.outcome,
-                attempts=result.attempts,
-            )
-            await self._land(exe, result)
-        self._executions.pop(exe.key, None)
-        self._maybe_drained()
+        try:
+            async with self._slots:
+                exe.state = "running"
+                for rid in exe.request_ids:
+                    req = self._requests.get(rid)
+                    if req is not None:
+                        req.state = "running"
+                self.m_queue_depth.set(
+                    sum(1 for e in self._executions.values() if e.state == "queued")
+                )
+                self._span(exe.spans, "queue", t_queue)
+                t_exec = self._now_ns()
+                result = await asyncio.to_thread(
+                    self.supervisor.run, exe.spec, exe.deadline_s
+                )
+                self._span(
+                    exe.spans,
+                    "execute",
+                    t_exec,
+                    outcome=result.outcome,
+                    attempts=result.attempts,
+                )
+                await self._land(exe, result)
+        except Exception as exc:  # repro: noqa-SIM001 — service boundary:
+            # a supervisor or landing fault (say, an OSError from the cache
+            # write) fails this execution's requests with the exception
+            # text and traceback instead of stranding them in flight.
+            self._fail_execution(exe, exc)
+        finally:
+            # Always retire the key: later identical submissions start a
+            # fresh execution, and drain can complete.
+            self._executions.pop(exe.key, None)
+            self._maybe_drained()
+
+    def _fail_execution(self, exe: _Execution, exc: Exception) -> None:
+        """Land every still-open request of *exe* as an internal error.
+
+        /result reports it in the shape of an execution error: the
+        exception class and its traceback.
+        """
+        failure = {
+            "error": "".join(traceback.format_exception(exc)),
+            "error_class": type(exc).__name__,
+        }
+        for rid in exe.request_ids:
+            req = self._requests.get(rid)
+            if req is None or req.state in ("done", "failed"):
+                continue
+            req.detail = f"{type(exc).__name__}: {exc}"
+            req.spans = req.spans + exe.spans
+            self._finish_request(req, "failed", payload=failure, outcome="internal-error")
 
     async def _land(self, exe: _Execution, result: SupervisedResult) -> None:
         t_land = self._now_ns()

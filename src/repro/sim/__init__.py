@@ -8,13 +8,12 @@ Public surface:
   — shared-resource primitives (:mod:`repro.sim.resources`);
 * :class:`Channel`, :class:`RateLimiter` — bandwidth/latency pipes
   (:mod:`repro.sim.channel`);
-* :class:`BandwidthMeter`, :class:`TraceLog` — instrumentation
-  (:mod:`repro.sim.trace`).
+* :class:`OnlineStats`, :class:`TimeSeries`, :class:`FaultStats`,
+  :func:`percentile` — measurement helpers (:mod:`repro.sim.stats`).
 
-The event-queue backend is selectable per simulator
-(``Simulator(backend="heap"|"wheel")``) or process-wide via the
-``REPRO_BACKEND`` environment variable; see :mod:`repro.sim.sched`.
-All backends are bit-identical by contract.
+The event queue is a single binary heap of ``(t, seq, event)`` entries:
+equal-time events run in schedule order, so a given seed always produces
+an identical trace.
 """
 
 from .channel import Channel, RateLimiter
@@ -23,18 +22,14 @@ from .core import (
     AnyOf,
     DeadlockError,
     Event,
-    EventPool,
     Process,
     SimulationError,
     Simulator,
     Timeout,
-    TimerHandle,
     kernel_event_count,
 )
 from .resources import ByteFifo, PacketFifo, Resource, Store
-from .sched import BACKENDS, CalendarScheduler, HeapScheduler, resolve_backend
 from .stats import FaultStats, OnlineStats, TimeSeries, percentile
-from .trace import BandwidthMeter, TraceLog, TraceRecord, kernel_snapshot
 
 __all__ = [
     "Simulator",
@@ -43,25 +38,15 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "TimerHandle",
-    "EventPool",
     "SimulationError",
     "DeadlockError",
-    "BACKENDS",
-    "HeapScheduler",
-    "CalendarScheduler",
-    "resolve_backend",
     "kernel_event_count",
-    "kernel_snapshot",
     "Resource",
     "Store",
     "ByteFifo",
     "PacketFifo",
     "Channel",
     "RateLimiter",
-    "BandwidthMeter",
-    "TraceLog",
-    "TraceRecord",
     "OnlineStats",
     "FaultStats",
     "TimeSeries",

@@ -23,7 +23,7 @@ from repro.pcie import (
     WriteBehavior,
     plx_platform,
 )
-from repro.sim import BACKENDS, RateLimiter, Simulator
+from repro.sim import RateLimiter, Simulator
 from repro.sim import core as sim_core
 
 NIC_BASE = 0x100_0000_0000
@@ -64,9 +64,8 @@ def build(sim, **gpu_kwargs):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_uncontended_read_cost_is_pinned(backend):
-    sim = Simulator(backend=backend)
+def test_uncontended_read_cost_is_pinned():
+    sim = Simulator()
     plat, nic, gpu = build(sim)
     ev = plat.fabric.read(nic, HOST_ADDR, 512)
     sim.run()
@@ -77,9 +76,8 @@ def test_uncontended_read_cost_is_pinned(backend):
     assert sim.events_processed == 10
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_three_quantum_write_cost_is_pinned(backend):
-    sim = Simulator(backend=backend)
+def test_three_quantum_write_cost_is_pinned():
+    sim = Simulator()
     plat, nic, gpu = build(sim)
     ev = plat.fabric.write(nic, GPU_BASE, 3 * 4096)
     sim.run()

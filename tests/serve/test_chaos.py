@@ -9,7 +9,9 @@ b. a hung worker trips the per-request deadline and terminates with a
    structured ``failed`` status — never a silent hang;
 c. submissions beyond the queue bound are rejected with 429 (with a
    ``Retry-After`` hint), and SIGTERM-style drain finishes in-flight work
-   and reports ``repro_serve_up 0`` before exit.
+   and reports ``repro_serve_up 0`` before exit;
+d. a fault inside the service itself (the supervisor or the landing step
+   raising) fails the affected requests instead of stranding them.
 """
 
 import asyncio
@@ -22,6 +24,7 @@ import pytest
 from repro.bench import harness
 from repro.bench.engine import ExecutionEngine, deterministic_view
 from repro.serve import Rejected, ServeConfig, SimulationService
+from repro.serve.supervisor import WorkerSupervisor
 
 
 def _register(exp_id, run):
@@ -236,5 +239,51 @@ def test_drain_with_nothing_inflight_is_immediate():
         service.begin_drain()
         service.begin_drain()  # idempotent
         await asyncio.wait_for(service.drained.wait(), timeout=1)
+
+    asyncio.run(main())
+
+
+# -- (d) service-side fault -> internal-error, nothing stranded ---------------
+
+
+def test_execution_task_fault_lands_requests_as_internal_error(
+    slow_experiment, monkeypatch
+):
+    real_run = WorkerSupervisor.run
+    calls = []
+
+    def flaky_run(self, spec, deadline_s):
+        calls.append(spec.experiment_id)
+        if len(calls) == 1:
+            raise OSError("No space left on device")
+        return real_run(self, spec, deadline_s)
+
+    monkeypatch.setattr(WorkerSupervisor, "run", flaky_run)
+
+    async def main():
+        service = _service()
+        # Back to back, no await between them: the second coalesces.
+        _, first = await service.submit({"experiment": slow_experiment})
+        _, second = await service.submit({"experiment": slow_experiment})
+        assert service.status(second["request_id"])["coalesced"]
+        for doc in (first, second):
+            final = await _wait_terminal(service, doc["request_id"], timeout_s=5.0)
+            assert final["state"] == "failed"
+            assert final["outcome"] == "internal-error"
+            assert "OSError: No space left on device" in final["detail"]
+            error = service.result(doc["request_id"])["error"]
+            assert error["error_class"] == "OSError"
+            assert "flaky_run" in error["traceback"]
+        assert service.m_inflight.value() == 0
+        assert service.m_completed.value(outcome="internal-error") == 2
+        assert service.inflight_executions() == 0
+        # The dead execution is gone: an identical submit runs afresh.
+        status, third = await service.submit({"experiment": slow_experiment})
+        assert status == 202 and not third["coalesced"]
+        final = await _wait_terminal(service, third["request_id"])
+        assert final["state"] == "done"
+        assert calls == [slow_experiment, slow_experiment]
+        service.begin_drain()
+        await asyncio.wait_for(service.drained.wait(), timeout=5)
 
     asyncio.run(main())

@@ -38,11 +38,24 @@ def toy_experiment():
         harness._REGISTRY.pop(exp_id, None)
 
 
-def test_runner_entry_points_are_the_engine():
-    # The refactor contract: CLI and service share ONE execution core.
-    # (Bound methods are re-created per access, so compare the pieces.)
-    assert runner._execute.__func__ is ExecutionEngine.execute
-    assert runner._execute.__self__ is ENGINE
+def test_runner_entry_points_are_the_engine(toy_experiment, monkeypatch, tmp_path):
+    # The refactor contract: CLI and service share ONE execution core, so
+    # an in-process sweep executes through the shared ENGINE.
+    calls = []
+    real = ENGINE.execute
+
+    def spy(experiment_id, quick, trace=False):
+        calls.append((experiment_id, quick, trace))
+        return real(experiment_id, quick, trace)
+
+    monkeypatch.setattr(ENGINE, "execute", spy)
+    (record,) = runner.run_experiments(
+        [toy_experiment], quick=True, jobs=1, use_cache=False, cache_dir=tmp_path
+    )
+    assert calls == [(toy_experiment, True, False)]
+    assert record.status == "ok"
+    assert runner.pool_worker((toy_experiment, True, False))["rendered"] == "quick=True"
+    assert calls[-1] == (toy_experiment, True, False)
 
 
 def test_success_payload_contract(toy_experiment):

@@ -142,7 +142,6 @@ def test_submit_validation_errors(toy_experiment):
             ({"experiment": "no-such-experiment"}, "no-such-experiment"),
             ({"experiment": toy_experiment, "quick": "yes"}, "quick"),
             ({"experiment": toy_experiment, "deadline_s": -1}, "deadline_s"),
-            ({"experiment": toy_experiment, "backend": "warp-drive"}, "warp"),
         ]:
             status, _, doc = await _request(port, "POST", "/submit", bad)
             assert status == 400, bad

@@ -1,10 +1,10 @@
-"""Unit tests for the instrumentation helpers (stats, meters, trace log)."""
+"""Unit tests for the measurement helpers in :mod:`repro.sim.stats`."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import BandwidthMeter, OnlineStats, Simulator, TimeSeries, TraceLog, percentile
+from repro.sim import OnlineStats, TimeSeries, percentile
 
 
 # ---------------------------------------------------------------------------
@@ -79,74 +79,3 @@ def test_time_series_rejects_unordered():
     ts.append(10, 1.0)
     with pytest.raises(ValueError):
         ts.append(5, 2.0)
-
-
-# ---------------------------------------------------------------------------
-# BandwidthMeter
-# ---------------------------------------------------------------------------
-
-
-def test_meter_average():
-    sim = Simulator()
-    meter = BandwidthMeter(sim)
-
-    def proc():
-        for _ in range(10):
-            yield sim.timeout(100)
-            meter.record(200)
-
-    sim.run_process(proc())
-    assert meter.total_bytes == 2000
-    assert meter.average() == pytest.approx(2.0)  # 2000B / 1000ns
-    assert meter.span == pytest.approx(900)
-
-
-def test_meter_steady_state_skips_warmup():
-    sim = Simulator()
-    meter = BandwidthMeter(sim)
-
-    def proc():
-        # slow warm-up, then fast steady state
-        yield sim.timeout(1000)
-        meter.record(100)
-        for _ in range(9):
-            yield sim.timeout(10)
-            meter.record(100)
-
-    sim.run_process(proc())
-    assert meter.steady_state(0.25) > meter.average() * 2
-
-
-# ---------------------------------------------------------------------------
-# TraceLog
-# ---------------------------------------------------------------------------
-
-
-def test_trace_disabled_by_default():
-    sim = Simulator()
-    log = TraceLog(sim)
-    log.emit("src", "kind", detail=1)
-    assert log.records == []
-
-
-def test_trace_enabled_records_and_filters():
-    sim = Simulator()
-    log = TraceLog(sim, enabled=True)
-    log.emit("rx", "packet", size=4096)
-    log.emit("tx", "packet", size=64)
-    log.emit("rx", "drop")
-    assert len(log.records) == 3
-    assert len(list(log.filter(source="rx"))) == 2
-    assert len(list(log.filter(kind="packet"))) == 2
-    assert len(list(log.filter(source="rx", kind="drop"))) == 1
-    assert "rx" in str(log.records[0])
-    log.clear()
-    assert log.records == []
-
-
-def test_trace_capacity_cap():
-    sim = Simulator()
-    log = TraceLog(sim, enabled=True, capacity=2)
-    for i in range(5):
-        log.emit("s", "k", i=i)
-    assert len(log.records) == 2
