@@ -22,16 +22,17 @@ Because the exact simulator is deterministic, calibration is a pure
 function of the :class:`~repro.apenet.config.ApenetConfig` and the
 buffer kinds; it is memoised module-wide.
 
-Contention between concurrent flows is modelled with per-resource
-*free times* (TX endpoint, RX endpoint, every traversed link): a flow
-begins service when every resource on its path is free
-(``begin = max(start, max_r free_r)``), completes at ``begin + T_lat``,
-and holds each resource for its own occupancy (``free_r = begin +
-O_r``).  This reproduces the probed back-to-back gap exactly for
-same-path sequences and degrades gracefully for overlapping
-cross-traffic (each contender pushes later flows back by its
-serialisation load, not by its full latency); the parity suite in
-``tests/scale/`` measures and pins the documented tolerances.
+Contention between concurrent flows is modelled per resource.  Each
+source posts its PUTs sequentially and has one TX engine per buffer kind,
+each held for its probed feed occupancy; every traversed link is a FIFO
+queue with a free time.  Each card's Nios II is replayed as the FIFO
+server it is in the per-packet stack, shared by the RX loop, the
+completion-event posts and the GPU TX engine's tasks: a flow that lands
+close behind another delays the earlier one's completion post, and RX
+work delays a GPU send on the same card.  Same-path bursts reproduce the
+exact driver's steady gap, and crossing traffic queues by load, not by
+full latency; the parity suite in ``tests/scale/`` measures and pins the
+documented tolerances.
 
 Routing mirrors :class:`~repro.recovery.manager.RecoveryManager` hop by
 hop: with dead links present every hop re-runs
@@ -42,6 +43,7 @@ node, so flow paths are bit-identical to the per-packet router's.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,7 +51,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..apenet.buflist import BufferKind
-from ..apenet.config import DEFAULT_CONFIG, ApenetConfig
+from ..apenet.config import DEFAULT_CONFIG, ApenetConfig, GpuTxVersion
 from ..net.packet import MAX_PACKET_PAYLOAD, PACKET_HEADER_BYTES
 from ..net.topology import TorusShape
 
@@ -229,6 +231,9 @@ class FlowCalibration:
     store-and-forward constant per extra hop (link + router latency); the
     last fragment's wire serialisation is added per hop at evaluation
     time, which is what makes the probed n=9 hop gap reproduce exactly.
+    ``rx_handoff`` is the RX hand-off of a 1-byte fragment (service end to
+    completion-post request), probed with two such PUTs landing on one
+    destination together.
     """
 
     src_kind: BufferKind
@@ -248,6 +253,8 @@ class FlowCalibration:
     occ_tx_single_small: float  # TX feed gap, n=1 at 512 B payload
     per_fragment: float  # steady RX service time per extra fragment
     hop_base: float  # per-extra-hop constant (link + router latency)
+    rx_handoff: float  # 1-byte fragment: RX service end -> completion post
+    rx_post: float  # Nios II completion-event post (config)
 
     # -- scalar model -------------------------------------------------------
 
@@ -283,6 +290,40 @@ class FlowCalibration:
         else:
             occ += self._last_delta(n, last)
         return max(occ, self.per_fragment)
+
+    def tx_feed(self) -> float:
+        """Steady source feed time per full fragment (TX probes, n=1 -> 9)."""
+        return (self.occ_tx_times[1] - self.occ_tx_times[0]) / (
+            self.occ_knots[1] - self.occ_knots[0]
+        )
+
+    # -- RX terms (the destination's Nios II loop) ---------------------------
+    #
+    # A single-fragment PUT of b bytes decomposes as
+    #   latency(1, b) = rx_arrival(b) + per_fragment + rx_handoff_at(b) + rx_post:
+    # the fragment reaches the RX FIFO, takes one Nios II service, its
+    # payload write DMA hands off to the completion post, and the post
+    # runs.  The hand-off is probed at 1 byte; the arrival grows with the
+    # source read and the link serialisation of the extra bytes, and the
+    # rest of the measured latency curve is hand-off (the write DMA).
+
+    def rx_arrival(self, first: int) -> float:
+        """Post-to-RX-FIFO time of a first fragment of *first* bytes (1 hop)."""
+        tiny = (
+            _interp(self.single_byte_knots, self.single_byte_times, 1, 0.0)
+            - self.per_fragment
+            - self.rx_handoff
+            - self.rx_post
+        )
+        per_byte = self.tx_feed() / MAX_PACKET_PAYLOAD + 1.0 / self.bandwidth
+        return tiny + (first - 1) * per_byte
+
+    def rx_handoff_at(self, last: int) -> float:
+        """Service end of a *last*-byte final fragment -> its post request."""
+        single = _interp(self.single_byte_knots, self.single_byte_times, last, 0.0)
+        return max(
+            single - self.rx_arrival(last) - self.per_fragment - self.rx_post, 0.0
+        )
 
     def tx_occupancy(self, n: int, last: int) -> float:
         """Source-side feed occupancy: the gap one PUT imposes on the next
@@ -435,6 +476,22 @@ def calibrate(
     occ_tx_times = tuple(tx_gap(n * full) for n in OCCUPANCY_KNOTS)
     occ_tx_single_small = tx_gap(512)
 
+    # RX hand-off: two 1-byte PUTs from distinct sources land on one
+    # destination together.  The RX loop serves the second fragment while
+    # the first one's payload write runs, so the first flow's completion
+    # post waits one fragment service minus that hand-off.
+    alone = one((2, 2, 1), 0, 1, 1)
+    first = min(
+        probe(
+            (2, 2, 1),
+            [
+                BulkTransfer(0, 1, 1, src_kind=src_kind, dst_kind=dst_kind),
+                BulkTransfer(2, 1, 1, src_kind=src_kind, dst_kind=dst_kind),
+            ],
+        )
+    )
+    rx_handoff = per_fragment - (first - alone)
+
     cal = FlowCalibration(
         src_kind=src_kind,
         dst_kind=dst_kind,
@@ -453,6 +510,8 @@ def calibrate(
         occ_tx_single_small=occ_tx_single_small,
         per_fragment=per_fragment,
         hop_base=hop_base,
+        rx_handoff=rx_handoff,
+        rx_post=config.rx_event_post_cost,
     )
     _CAL_CACHE[key] = cal
     return cal
@@ -461,6 +520,70 @@ def calibrate(
 # ---------------------------------------------------------------------------
 # The flow engine
 # ---------------------------------------------------------------------------
+
+
+def _nios_replay(
+    rx_shapes: Sequence[tuple], tx_shapes: Sequence[tuple], post: float
+) -> Tuple[List[float], List[float]]:
+    """Replay one card's Nios II; return RX post ends and TX task ends.
+
+    The Nios II is one FIFO server (:class:`~repro.apenet.nios.NiosII`)
+    shared by three kinds of request, served in request-time order:
+
+    * the RX loop takes fragments in arrival order and requests the next
+      one only when the previous one's service ends
+      (:class:`~repro.apenet.rx.RxEngine`);
+    * a flow's completion-event post (*post* ns) is requested its
+      hand-off time after its last fragment's service ends;
+    * a GPU-source flow's TX engine requests its per-message startup,
+      then one flow-control task per fragment, each after the previous
+      one (:class:`~repro.apenet.gpu_tx.GpuTxEngine`).
+
+    *rx_shapes* are ``(first arrival, feed, fragments, service, hand-off)``
+    and *tx_shapes* ``(request, startup, fragments, chunk cost, chunk
+    interval)`` tuples.  Returns each RX flow's post end and each TX
+    flow's last task end.
+    """
+    fragments = sorted(
+        (first + i * feed, k, service, i == n - 1, handoff)
+        for k, (first, feed, n, service, handoff) in enumerate(rx_shapes)
+        for i in range(n)
+    )
+    rx_done = [0.0] * len(rx_shapes)
+    tx_done = [0.0] * len(tx_shapes)
+    # (request time, tie-break, flow, TX task index or -1 for a post)
+    queue: List[Tuple[float, int, int, int]] = []
+    for k, (request, _startup, _n, _cost, _interval) in enumerate(tx_shapes):
+        queue.append((request, k, k, 0))
+    heapq.heapify(queue)
+    tie = len(tx_shapes)
+    nios_free = rx_ready = -math.inf
+    j = 0
+    while j < len(fragments) or queue:
+        request = (
+            max(fragments[j][0], rx_ready) if j < len(fragments) else math.inf
+        )
+        if queue and queue[0][0] <= request:
+            asked, _tie, k, task = heapq.heappop(queue)
+            if task < 0:
+                nios_free = max(asked, nios_free) + post
+                rx_done[k] = nios_free
+                continue
+            _request, startup, n, cost, interval = tx_shapes[k]
+            nios_free = max(asked, nios_free) + (cost if task else startup)
+            tx_done[k] = nios_free
+            if task < n:
+                gap = interval if task else 0.0
+                heapq.heappush(queue, (nios_free + gap, tie, k, task + 1))
+                tie += 1
+            continue
+        _arrival, k, service, last, handoff = fragments[j]
+        j += 1
+        nios_free = rx_ready = max(request, nios_free) + service
+        if last:
+            heapq.heappush(queue, (nios_free + handoff, tie, k, -1))
+            tie += 1
+    return rx_done, tx_done
 
 
 @dataclass
@@ -504,8 +627,12 @@ class FlowNetwork:
         self.link_bytes: Dict[Tuple[int, int, int], int] = {}
         self.link_packets: Dict[Tuple[int, int, int], int] = {}
         self.link_busy: Dict[Tuple[int, int, int], float] = {}
-        self._tx_free: Dict[int, float] = {}  # src rank -> TX feed free
-        self._free: Dict[tuple, float] = {}  # rx/link resource -> free time
+        self._post_free: Dict[int, float] = {}  # src rank -> host CPU free
+        # (src rank, source buffer kind) -> that TX engine's feed free
+        self._tx_free: Dict[Tuple[int, BufferKind], float] = {}
+        self._link_free: Dict[Tuple[int, int, int], float] = {}
+        self._rx_flows: Dict[int, list] = {}  # dst rank -> admitted flows
+        self._tx_flows: Dict[int, list] = {}  # src rank -> admitted GPU-source flows
         self._routes: Dict[Tuple[int, int], Optional[tuple]] = {}
         self._cals: Dict[Tuple[BufferKind, BufferKind], FlowCalibration] = {}
         self._obs_sim = None
@@ -543,27 +670,46 @@ class FlowNetwork:
 
     # -- the engine ---------------------------------------------------------
     #
-    # Two-phase schedule, mirroring the hardware's structure:
+    # Three stages, mirroring the hardware's structure:
     #
-    #   phase 1 (TX feed): each source's PUTs post sequentially; a PUT
-    #   starts *injecting* once the source's previous feed finished
-    #   (``inj = max(start, tx_free[src])``), holding the TX for its
-    #   probed feed occupancy — much shorter than the end-to-end latency.
+    #   TX feed: each source's PUTs post sequentially on the host CPU
+    #   (driver costs from the config), and each source buffer kind has
+    #   its own TX engine (host DMA reads vs GPU_P2P_TX).  A PUT starts
+    #   *injecting* once it is posted and its engine is free
+    #   (``inj = max(post, tx_free[src, kind])``), holding the engine for
+    #   its probed feed occupancy — much shorter than the end-to-end
+    #   latency.  A PUT's completion is ``inj + T_lat`` when uncontended.
     #
-    #   phase 2 (fabric/RX): flows are served in deterministic injection
-    #   order.  Each RX endpoint and link is an independent FIFO queue:
-    #   completion = max(inj + T_lat,
-    #                    rx_free + O_rx,
-    #                    max(link_free, inj) + O_link + t_frag).
-    #   The RX stays busy with this flow until its completion; links free
-    #   after their serialisation share.
+    #   Nios II: each card's firmware CPU serves, FIFO, the RX loop (one
+    #   fragment at a time, in arrival order), each flow's completion-event
+    #   post (requested a write-DMA hand-off after its last fragment) and
+    #   the GPU TX engine's per-message and per-fragment tasks.  The RX
+    #   loop requests the next fragment at once, so a flow arriving close
+    #   behind delays the completion of the one in front by up to a
+    #   fragment's service.  Cards shared by two or more flows replay
+    #   their Nios II (:func:`_nios_replay`); a flow's delay is its time
+    #   there minus its time alone.
     #
-    # Back-to-back same-path sequences reproduce the probed gap exactly;
-    # crossing traffic queues by load, not by full latency, so cascades
-    # cannot build transitively the way a naive critical-path model would.
+    #   links: flows are served in deterministic injection order, each
+    #   link an independent FIFO queue:
+    #   completion >= max(link_free, inj) + O_link + t_frag.
+    #
+    # Same-path bursts settle to the exact driver's steady gap (a flow's
+    # fragment services plus its post); crossing traffic queues by load,
+    # not by full latency, so cascades cannot build transitively the way a
+    # naive critical-path model would.
+
+    def _post_cost(self, n: int) -> float:
+        """Host CPU time to post one PUT: the call plus its first ring batch."""
+        cfg = self.config
+        return (
+            cfg.put_post_cost
+            + cfg.driver_fragment_cost
+            + min(n, 8) * cfg.driver_descriptor_cost
+        )
 
     def _admit(self, tr: BulkTransfer, seq: int):
-        """Phase 1 for one transfer: route, accounting, TX injection time."""
+        """TX stage for one transfer: route, accounting, injection time."""
         route = self._route(tr.src, tr.dst)
         if route is None:
             return None
@@ -576,25 +722,115 @@ class FlowNetwork:
             self.link_packets[hop] = self.link_packets.get(hop, 0) + n
             self.link_busy[hop] = self.link_busy.get(hop, 0.0) + link_occ
         cal = self.calibration(tr.src_kind, tr.dst_kind)
-        inj = max(tr.start, self._tx_free.get(tr.src, 0.0))
-        self._tx_free[tr.src] = inj + cal.tx_occupancy(n, last)
+        post = max(tr.start, self._post_free.get(tr.src, 0.0))
+        self._post_free[tr.src] = post + self._post_cost(n)
+        engine = (tr.src, tr.src_kind)
+        inj = max(post, self._tx_free.get(engine, 0.0))
+        self._tx_free[engine] = inj + cal.tx_occupancy(n, last)
         return (inj, seq, tr, route, cal, n, last, wire, link_occ)
 
-    def _serve(self, admitted) -> FlowRecord:
-        """Phase 2 for one admitted transfer: fabric/RX queues, completion."""
+    def _rx_shape(self, admitted) -> tuple:
+        """How the destination's RX loop sees one admitted flow.
+
+        ``(first arrival, feed, fragments, service, hand-off)``.  The RX
+        terms belong to the destination, so they come from the
+        host-source calibration for its buffer kind, whose probes are
+        RX-bound; the first fragment arrives that RX tail before the
+        flow's own single-fragment latency, plus its extra hops.
+        """
+        inj, _seq, tr, route, cal, n, last, _wire, _link_occ = admitted
+        rx = self.calibration(BufferKind.HOST, tr.dst_kind)
+        first = MAX_PACKET_PAYLOAD if n > 1 else last
+        arrival = (
+            inj
+            + cal.completion_latency(1, first, 1)
+            - rx.per_fragment
+            - rx.rx_handoff_at(first)
+            - rx.rx_post
+            + (len(route) - 1) * cal._hop_cost(n, last)
+            # the host builds a longer first descriptor batch before the
+            # engine moves a byte
+            + self._post_cost(n)
+            - self._post_cost(1)
+        )
+        return (arrival, cal.tx_feed(), n, rx.per_fragment, rx.rx_handoff_at(last))
+
+    def _tx_shape(self, admitted) -> tuple:
+        """A GPU-source flow's TX tasks on its card's Nios II:
+        ``(request, startup, fragments, chunk cost, chunk interval)``.
+
+        The engine receives the job once the host has posted it.
+        """
+        inj, _seq, _tr, _route, _cal, n, _last, _wire, _link_occ = admitted
+        cfg = self.config
+        cost = 0.0 if cfg.gpu_tx_method == "bar1" else cfg.gpu_chunk_nios_cost()
+        interval = (
+            cfg.v2_request_interval if cfg.gpu_tx_version >= GpuTxVersion.V2 else 0.0
+        )
+        return (
+            inj + self._post_cost(n),
+            cfg.gpu_tx_msg_overhead,
+            n if cost > 0 else 0,
+            cost,
+            interval,
+        )
+
+    def _nios_delays(self, admitted_items) -> Dict[int, float]:
+        """Nios II contention delay per admitted flow, keyed by its ``seq``.
+
+        Two passes over the cards' Nios II replays (:func:`_nios_replay`):
+        first, a GPU-source flow's TX tasks queue behind the RX work of
+        its own card; then every destination replays its RX loop with
+        each arriving flow shifted by that TX delay.  A flow's delay is
+        its TX delay plus its post time in the shared replay minus its
+        post time alone.  Flows admitted earlier on this network (earlier
+        :meth:`bulk_put` or :meth:`run_transfers` calls) still occupy the
+        cards; their own completions are not revised.
+        """
+        for item in admitted_items:
+            tr = item[2]
+            self._rx_flows.setdefault(tr.dst, []).append(item)
+            if tr.src_kind is BufferKind.GPU:
+                self._tx_flows.setdefault(tr.src, []).append(item)
+        post = self.config.rx_event_post_cost
+
+        tx_delay: Dict[int, float] = {}  # id(admitted item) -> TX delay
+        for card, senders in self._tx_flows.items():
+            receivers = self._rx_flows.get(card, ())
+            if len(senders) + len(receivers) < 2:
+                continue
+            tx = [self._tx_shape(item) for item in senders]
+            rx = [self._rx_shape(item) for item in receivers]
+            shared = _nios_replay(rx, tx, post)[1]
+            for item, shape, end in zip(senders, tx, shared):
+                tx_delay[id(item)] = end - _nios_replay((), (shape,), post)[1][0]
+
+        delays = {item[1]: tx_delay.get(id(item), 0.0) for item in admitted_items}
+        new = {id(item) for item in admitted_items}
+        for dst in sorted({item[2].dst for item in admitted_items}):
+            receivers = self._rx_flows[dst]
+            senders = self._tx_flows.get(dst, ())
+            if len(receivers) + len(senders) < 2:
+                continue
+            rx = []
+            for item in receivers:
+                arrival, *rest = self._rx_shape(item)
+                rx.append((arrival + tx_delay.get(id(item), 0.0), *rest))
+            shared = _nios_replay(rx, [self._tx_shape(item) for item in senders], post)[0]
+            for item, shape, end in zip(receivers, rx, shared):
+                if id(item) in new:
+                    delays[item[1]] += end - _nios_replay((shape,), (), post)[0][0]
+        return delays
+
+    def _serve(self, admitted, nios_delay: float) -> FlowRecord:
+        """Link stage for one admitted transfer: link queues, completion."""
         inj, _seq, tr, route, cal, n, last, wire, link_occ = admitted
-        latency = cal.completion_latency(n, last, len(route))
-        completion = inj + latency
-        rx_key = ("rx", tr.dst)
-        rx_free = self._free.get(rx_key)
-        if rx_free is not None:
-            completion = max(completion, rx_free + cal.occupancy(n, last))
+        completion = inj + cal.completion_latency(n, last, len(route)) + nios_delay
         tail = cal.per_fragment
         for hop in route:
-            link_free = self._free.get(("link", hop), 0.0)
+            link_free = self._link_free.get(hop, 0.0)
             completion = max(completion, max(link_free, inj) + link_occ + tail)
-            self._free[("link", hop)] = max(link_free, inj) + link_occ
-        self._free[rx_key] = completion
+            self._link_free[hop] = max(link_free, inj) + link_occ
         rec = FlowRecord(
             tr.src, tr.dst, tr.nbytes, tr.start, completion, n, wire, route
         )
@@ -625,16 +861,18 @@ class FlowNetwork:
         """Post one bulk PUT as a flow record; returns its outcome.
 
         Incremental form: the flow is admitted and served immediately, so
-        call in post order.  For batches with overlapping lifetimes prefer
+        call in post order.  A flow's completion cannot see PUTs posted
+        after it, so for batches with overlapping lifetimes prefer
         :meth:`run_transfers`, which serves in injection order like the
         fabric does.
         """
         tr = BulkTransfer(src, dst, nbytes, start, src_kind, dst_kind)
-        admitted = self._admit(tr, len(self.records))
+        seq = len(self.records)
+        admitted = self._admit(tr, seq)
         if admitted is None:
             rec = FlowRecord(src, dst, nbytes, start, None, 0, 0, ())
         else:
-            rec = self._serve(admitted)
+            rec = self._serve(admitted, self._nios_delays([admitted]).get(seq, 0.0))
         self.records.append(rec)
         return rec
 
@@ -656,8 +894,9 @@ class FlowNetwork:
                 recs[i] = FlowRecord(tr.src, tr.dst, tr.nbytes, tr.start, None, 0, 0, ())
             else:
                 admitted.append((item, i))
+        delays = self._nios_delays([item for item, _ in admitted])
         for item, i in sorted(admitted, key=lambda pair: (pair[0][0], pair[0][1])):
-            recs[i] = self._serve(item)
+            recs[i] = self._serve(item, delays.get(item[1], 0.0))
         self.records.extend(recs[i] for i in post_order)
         return self._aggregate(recs)
 

@@ -165,12 +165,14 @@ def test_latency_is_exact_at_probed_knots():
 def test_back_to_back_flows_are_spaced_by_occupancy():
     net = FlowNetwork((2, 1, 1))
     cal = net.calibration()
-    n, last = 9, MAX_PACKET_PAYLOAD
-    r1 = net.bulk_put(0, 1, 9 * MAX_PACKET_PAYLOAD)
-    r2 = net.bulk_put(0, 1, 9 * MAX_PACKET_PAYLOAD)
-    # The steady-state same-path gap is the probed occupancy exactly.
+    n = 9
+    r1 = net.bulk_put(0, 1, n * MAX_PACKET_PAYLOAD)
+    r2 = net.bulk_put(0, 1, n * MAX_PACKET_PAYLOAD)
+    # The steady same-path gap is one flow's RX occupancy: the RX loop
+    # serves its n fragments, then its completion post.  The exact DES
+    # spaces a burst of 9-fragment PUTs by the same 30.05 us.
     assert r2.completion - r1.completion == pytest.approx(
-        cal.occupancy(n, last), rel=1e-12
+        n * cal.per_fragment + cal.rx_post, rel=1e-12
     )
 
 

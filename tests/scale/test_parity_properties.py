@@ -36,11 +36,12 @@ from repro.units import us
 pytestmark = pytest.mark.scale
 
 # The widest class the random sweep can land in.  Wider than the 2.5e-1
-# general-contention ceiling: hypothesis found that *duplicate* 1-byte
-# flows squeezed through a dead-link detour deviate up to ~2.8e-1 (two
-# identical head-latency-dominated packets serialise differently in the
-# fabric than in the model's injection-order service); that scenario is
-# pinned as an explicit @example so the bound stays honest.
+# general-contention ceiling: hypothesis found tiny flows sharing one
+# destination that deviated up to ~3.6e-1 before the flow model replayed
+# each card's Nios II (an RX loop that serves a later fragment before an
+# earlier flow's completion post, and GPU TX tasks queued behind RX
+# work).  Those scenarios are pinned as explicit @examples so the bound
+# stays honest; they now sit near 1e-2.
 ENVELOPE_RTOL = 3e-1
 BUSY_RTOL = 1e-6
 
@@ -97,9 +98,9 @@ def scenarios(draw):
     return dims, tuple(transfers), dead
 
 
-#: Worst deviation the random sweep has found so far (~2.8e-1): two
-#: identical 1-byte host-to-host flows forced onto the same dead-link
-#: detour of a 2-node ring.  Pinned so every run re-checks it.
+#: Two identical 1-byte host-to-host flows on the same path of a 2-node
+#: ring with a dead link (~2.8e-1 under the old free-time RX model).
+#: Pinned so every run re-checks it.
 _DUPLICATE_TINY_DETOUR = (
     (2, 1, 1),
     (
@@ -109,10 +110,22 @@ _DUPLICATE_TINY_DETOUR = (
     ((1, 0, -1),),
 )
 
+#: The same pair with the second flow GPU-to-GPU (~3.6e-1 under the old
+#: model, which charged the GPU source's feed gap to the shared RX).
+_MIXED_KIND_TINY_PAIR = (
+    (2, 1, 1),
+    (
+        BulkTransfer(0, 1, 1, 0.0, BufferKind.HOST, BufferKind.HOST),
+        BulkTransfer(0, 1, 1, 0.0, BufferKind.GPU, BufferKind.GPU),
+    ),
+    ((1, 0, -1),),
+)
+
 
 @settings(max_examples=25, deadline=None)
 @given(scenarios())
 @example(_DUPLICATE_TINY_DETOUR)
+@example(_MIXED_KIND_TINY_PAIR)
 def test_random_scenarios_hold_the_parity_contract(scenario):
     dims, transfers, dead = scenario
     exact = run_exact(dims, transfers, dead_links=dead)

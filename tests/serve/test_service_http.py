@@ -7,11 +7,13 @@ the parser, router, and Connection: close discipline are all exercised.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.bench import harness
 from repro.serve import HttpFrontend, ServeConfig, SimulationService
+from repro.serve.supervisor import WorkerSupervisor
 
 
 @pytest.fixture
@@ -176,15 +178,31 @@ def test_cache_hit_answers_200_without_execution(tmp_path, toy_experiment):
     serve_test(body, use_cache=True, cache_dir=str(tmp_path))
 
 
-def test_concurrent_identical_submissions_coalesce(toy_experiment):
+def test_concurrent_identical_submissions_coalesce(toy_experiment, monkeypatch):
+    # Hold the execution until all three are admitted, so the followers
+    # cannot miss it however fast the toy run is.  The gate sits before
+    # the worker fork: a worker forked while a connection is open would
+    # hold that socket, and the client's read-to-EOF would wait on it.
+    gate = threading.Event()
+    real_run = WorkerSupervisor.run
+
+    def gated_run(self, spec, deadline_s):
+        gate.wait(30)
+        return real_run(self, spec, deadline_s)
+
+    monkeypatch.setattr(WorkerSupervisor, "run", gated_run)
+
     async def body(service, port):
         docs = []
-        for _ in range(3):
-            status, _, doc = await _request(
-                port, "POST", "/submit", {"experiment": toy_experiment}
-            )
-            assert status == 202
-            docs.append(doc)
+        try:
+            for _ in range(3):
+                status, _, doc = await _request(
+                    port, "POST", "/submit", {"experiment": toy_experiment}
+                )
+                assert status == 202
+                docs.append(doc)
+        finally:
+            gate.set()
         assert [d["coalesced"] for d in docs] == [False, True, True]
         finals = [await _poll_terminal(port, d["request_id"]) for d in docs]
         assert all(f["state"] == "done" for f in finals)
