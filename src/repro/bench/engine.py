@@ -1,10 +1,11 @@
 """The shared execution core behind the CLI sweeps and ``repro.serve``.
 
 Exactly one place in the tree knows how to turn ``(experiment_id, quick,
-trace)`` into a result payload: :class:`ExecutionEngine`.  The parallel
-runner (:mod:`repro.bench.runner`) drives it from worker processes of a
-``multiprocessing.Pool``; the always-on service (:mod:`repro.serve`)
-drives it from supervised single-shot worker processes.  Both therefore
+trace)`` into a result payload: :class:`ExecutionEngine`.  The runner
+(:mod:`repro.bench.runner`) drives it in-process for ``jobs == 1``; its
+parallel sweeps and the always-on service (:mod:`repro.serve`) drive it
+from the supervised single-shot worker processes of
+:mod:`repro.bench.supervisor`.  Both front ends therefore
 produce byte-identical payloads for the same request — which is what lets
 the two front ends share one on-disk :class:`~repro.bench.runner.ResultCache`
 and lets the service promise that a retried execution (after a worker
@@ -34,7 +35,7 @@ import traceback
 from ..sim import kernel_event_count
 from . import harness
 
-__all__ = ["ExecutionEngine", "deterministic_view", "pool_worker"]
+__all__ = ["ExecutionEngine", "deterministic_view"]
 
 #: Payload keys that are pure functions of (experiment, quick, calibration,
 #: version) — everything except wall-clock/event telemetry and traces.
@@ -136,11 +137,5 @@ class ExecutionEngine:
         return payload
 
 
-#: Process-wide engine used by the picklable pool/worker entry points.
+#: Process-wide engine behind the runner's in-process (``jobs == 1``) path.
 ENGINE = ExecutionEngine()
-
-
-def pool_worker(args: tuple) -> dict:
-    """``multiprocessing.Pool`` entry point (module-level for picklability)."""
-    experiment_id, quick, trace = args
-    return ENGINE.execute(experiment_id, quick, trace)

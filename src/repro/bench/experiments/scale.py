@@ -2,7 +2,7 @@
 
 The paper's BFS stops at 12 nodes (Table IV / Fig 12); ROADMAP item 1
 asks what the interconnect does at 8^3 .. 16^3.  This experiment runs
-the :mod:`repro.scale` sharded BFS over a ladder of tori with recovery
+the :mod:`repro.scale` flow-model BFS over a ladder of tori with recovery
 enabled (one dead +X link at the origin, traffic detoured exactly as the
 recovery router would) and reports the TEPS curve, plus an in-sweep
 **parity probe**: a golden bulk-transfer scenario executed through both
@@ -106,10 +106,11 @@ def parity_probe() -> dict:
 def run_scale(quick: bool = True) -> ExperimentResult:
     """TEPS curve on 4^3 .. 16^3 tori with recovery enabled, flow mode.
 
-    Each row is a sharded distributed BFS (R-MAT graph, one rank per
-    torus node, 4-way frontier sharding) whose communication cost comes
-    from the probe-calibrated flow model; the in-sweep parity probe
-    certifies that model against the exact per-packet reference.
+    Each row is a distributed BFS (R-MAT graph, one rank per torus node;
+    the rows record ``shards=4``, which the golden rows pin) whose
+    communication cost comes from the probe-calibrated flow model; the
+    in-sweep parity probe certifies that model against the exact
+    per-packet reference.
     """
     configs = CONFIGS_QUICK if quick else CONFIGS_FULL
     parity = parity_probe()

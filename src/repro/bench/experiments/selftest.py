@@ -14,17 +14,15 @@ class since the fault/recovery layers landed).  The events/sec of both
 scenarios land in the result's ``data["kernel_bench"]`` block, which the
 runner can export as ``BENCH_kernel.json`` for the CI perf-history gate.
 
-It also quantifies the optional back-to-back TLP batching of
-:meth:`PCIeFabric.write` as a simulated-event reduction factor, and
-smoke-tests the :mod:`repro.obs` observability layer: a tiny G-G RDMA PUT
-plus an MPI exchange run once untraced and once under a local
+It also smoke-tests the :mod:`repro.obs` observability layer: a tiny G-G
+RDMA PUT plus an MPI exchange run once untraced and once under a local
 :class:`~repro.obs.TraceSession`, proving in-sweep that traced runs are
 bit-identical and that spans arrive from every stack layer.
 
 Wall-clock numbers (and the speedups) appear only in the rendered output
 and the ``data`` block — ``comparisons`` carries exclusively deterministic
-quantities (event counts, parity checks, reduction factors)
-so that cached, serial and parallel sweeps stay bit-identical.
+quantities (event counts, parity checks) so that cached, serial and
+parallel sweeps stay bit-identical.
 """
 
 from __future__ import annotations
@@ -38,11 +36,9 @@ from ...cuda.memcpy import memcpy_sync
 from ...ib.cluster import build_ib_cluster
 from ...mpi.comm import MpiWorld
 from ...obs import TraceSession
-from ...pcie.device import HostMemory
-from ...pcie.fabric import PCIeFabric
 from ...sim import Channel, Simulator
 from ...units import GBps, kib, ns, us
-from ..harness import ExperimentError, ExperimentResult, register
+from ..harness import ExperimentResult, register
 from ..microbench import make_cluster
 from ..tables import render_table
 
@@ -50,7 +46,6 @@ __all__ = [
     "kernel_workload",
     "timer_workload",
     "time_workload",
-    "batching_events",
     "observability_smoke",
 ]
 
@@ -151,25 +146,6 @@ def _rate(wall_s: float, events: int) -> dict:
     }
 
 
-def batching_events(batch: int, nbytes: int = 1 << 19):
-    """(final time, events) for one bulk posted write at *batch*."""
-    sim = Simulator()
-    fabric = PCIeFabric(sim, write_batch=batch)
-    root = fabric.add_root()
-    src = HostMemory(sim, base=0x0, size=1 << 20, name="selftest-src")
-    dst = HostMemory(sim, base=1 << 30, size=1 << 20, name="selftest-dst")
-    fabric.add_endpoint(src, root)
-    fabric.add_endpoint(dst, root)
-    done = fabric.write(src, 1 << 30, nbytes)
-    sim.run()
-    if not done.processed or done.value != nbytes:
-        raise ExperimentError(
-            f"bulk write incomplete: processed={done.processed}, "
-            f"value={done.value!r}, expected {nbytes}"
-        )
-    return sim.now, sim.events_processed
-
-
 def _obs_smoke_workload():
     """One tiny pass through every stack layer; returns its fingerprint.
 
@@ -254,8 +230,7 @@ def observability_smoke():
 def run_selftest(quick: bool) -> ExperimentResult:
     """Time the DES kernel's inlined run loop against the generic
     ``step()`` reference and on a timer-heavy retransmission scenario,
-    and quantify the event-count reduction of batched TLP write
-    scheduling."""
+    and smoke-test tracing across the stack."""
     n_procs, n_steps = (240, 120) if quick else (600, 400)
 
     def mixed(sim):
@@ -279,11 +254,6 @@ def run_selftest(quick: bool) -> ExperimentResult:
         **_rate(fast_s + timer_s, fast_events + timer_events),
     }
 
-    t_plain, ev_plain = batching_events(batch=1)
-    t_batched, ev_batched = batching_events(batch=8)
-    reduction = ev_plain / ev_batched
-    time_shift = 100.0 * (t_batched - t_plain) / t_plain
-
     smoke = observability_smoke()
     expected_components = {"apenet", "cuda", "gpu", "mpi", "pcie", "sim"}
     smoke_cover = len(expected_components & set(smoke["components"]))
@@ -298,9 +268,6 @@ def run_selftest(quick: bool) -> ExperimentResult:
             f"{timer_s * 1e3:.1f} ms ({timer_rate['events_per_s'] / 1e6:.2f} Mev/s)",
             f"{timer_events}",
         ],
-        ["write batch=1", f"t={t_plain:.0f} ns", f"{ev_plain}"],
-        ["write batch=8", f"t={t_batched:.0f} ns", f"{ev_batched}"],
-        ["batching event reduction", f"{reduction:.2f}x", "—"],
         [
             "obs smoke: traced == untraced",
             "yes" if smoke["identical"] else "NO",
@@ -327,8 +294,6 @@ def run_selftest(quick: bool) -> ExperimentResult:
             1.0,
             "bool",
         ),
-        ("TLP batching event reduction (batch=8)", reduction, None, "x"),
-        ("TLP batching completion-time shift", time_shift, None, "%"),
         (
             "obs traced == untraced identity",
             1.0 if smoke["identical"] else 0.0,
@@ -353,7 +318,6 @@ def run_selftest(quick: bool) -> ExperimentResult:
             "speedup": speedup,
             "events_per_s": events_per_s,
             "kernel_bench": bench,
-            "batch_events": {"1": ev_plain, "8": ev_batched},
             "obs_smoke": smoke,
         },
     )

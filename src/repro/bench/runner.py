@@ -4,9 +4,11 @@ The registry in :mod:`repro.bench.harness` holds fully independent
 experiments (each builds its own :class:`~repro.sim.Simulator`), so a full
 reproduction sweep is embarrassingly parallel.  This module provides:
 
-* :func:`run_experiments` — fan the requested experiments out over worker
-  processes (``jobs > 1``) or run them in-process (``jobs == 1``), with
-  per-experiment wall-clock and simulated-event telemetry;
+* :func:`run_experiments` — fan the requested experiments out over
+  supervised worker processes (``jobs > 1``, through
+  :class:`~repro.bench.supervisor.WorkerSupervisor`) or run them
+  in-process (``jobs == 1``), with per-experiment wall-clock and
+  simulated-event telemetry;
 * :class:`ResultCache` — an on-disk JSON cache keyed by a hash of the
   experiment id, quick/full flag, every calibration constant, and the
   package version, so unchanged experiments are skipped on re-runs;
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
+import math
 import os
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -34,7 +37,8 @@ from typing import Callable, Optional, Sequence
 from .. import __version__
 from ..apenet.config import DEFAULT_CONFIG
 from . import harness
-from .engine import ENGINE, pool_worker
+from .engine import ENGINE
+from .supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 
 __all__ = [
     "RunRecord",
@@ -205,15 +209,6 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 
 
-def _pool_context():
-    """Fork where available: workers inherit the loaded registry (including
-    experiments registered at runtime, e.g. by tests)."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def _record_from_payload(payload: dict, cached: bool) -> RunRecord:
     if payload.get("error"):
         return RunRecord(
@@ -250,10 +245,15 @@ def run_experiments(
     """Run *ids*, fanning out over *jobs* worker processes.
 
     Cache hits are resolved up front (never shipped to workers); the
-    remaining experiments run in-process for ``jobs == 1`` or through a
-    ``multiprocessing.Pool`` otherwise.  Results come back in the order of
-    *ids* regardless of *jobs*.  *progress*, if given, is called with each
-    :class:`RunRecord` as it lands.
+    remaining experiments run in-process for ``jobs == 1``.  Otherwise
+    ``min(jobs, pending)`` threads each run one experiment at a time
+    through :meth:`WorkerSupervisor.run` with no deadline, so a worker
+    that dies (say, to the OOM killer) is re-forked with backoff instead
+    of stalling the sweep.  A ``worker-crash`` or ``timeout`` outcome
+    lands as an ``error`` record whose ``error_class`` is the outcome.
+    Results come back in the order of *ids* regardless of *jobs*.
+    *progress*, if given, is called with each :class:`RunRecord` as it
+    lands.
 
     With ``trace=True`` every experiment executes under its own
     :class:`~repro.obs.TraceSession` and each ok record carries the session
@@ -280,19 +280,42 @@ def run_experiments(
         else:
             pending.append(exp_id)
 
-    if pending:
-        work = [(exp_id, quick, trace) for exp_id in pending]
-        if jobs == 1 or len(pending) == 1:
-            payloads = (ENGINE.execute(*item) for item in work)
-            for payload in payloads:
+    if jobs == 1:
+        for exp_id in pending:
+            payload = ENGINE.execute(exp_id, quick, trace)
+            _land(payload, records, cache, use_cache, quick, progress)
+    elif pending:
+        supervisor = WorkerSupervisor()
+        pool = ThreadPoolExecutor(max_workers=min(jobs, len(pending)))
+        try:
+            futures = [
+                pool.submit(supervisor.run, WorkSpec(exp_id, quick, trace), math.inf)
+                for exp_id in pending
+            ]
+            for exp_id, future in zip(pending, futures):
+                payload = _supervised_payload(exp_id, future.result())
                 _land(payload, records, cache, use_cache, quick, progress)
-        else:
-            ctx = _pool_context()
-            with ctx.Pool(processes=min(jobs, len(pending))) as pool:
-                for payload in pool.imap(pool_worker, work):
-                    _land(payload, records, cache, use_cache, quick, progress)
+        finally:
+            # On Ctrl-C or a landing error, fork no further workers.  The
+            # running ones end by themselves: Ctrl-C reaches them too, and
+            # the supervisor never re-forks a worker killed by SIGINT.
+            pool.shutdown(cancel_futures=True)
 
     return [records[exp_id] for exp_id in ids]
+
+
+def _supervised_payload(experiment_id: str, result: SupervisedResult) -> dict:
+    """The engine payload of a supervised run, or an error payload naming
+    the outcome when the worker delivered none (crash budget, timeout)."""
+    if result.payload is not None:
+        return result.payload
+    return {
+        "experiment_id": experiment_id,
+        "error": result.detail,
+        "error_class": result.outcome,
+        "wall_s": result.wall_s,
+        "events": 0,
+    }
 
 
 def _land(payload, records, cache, use_cache, quick, progress) -> None:

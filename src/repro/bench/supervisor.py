@@ -13,7 +13,9 @@ and classifies every way the attempt can end:
   OOM kill, ``SIGKILL`` from a chaos test).  Crashes are environmental,
   so the attempt is retried with exponential backoff up to a bounded
   budget; determinism guarantees the retried payload is bit-identical to
-  what the crashed attempt would have produced;
+  what the crashed attempt would have produced.  A worker killed by
+  ``SIGINT`` is the exception: Ctrl-C reaches every worker in the
+  terminal's process group, so that crash is terminal, never re-forked;
 * **hung** — the per-request deadline expired with the worker still
   running.  The worker is killed (SIGTERM, then SIGKILL after a grace
   period) and the request terminates with a structured ``timeout``
@@ -23,21 +25,23 @@ Every terminal state is a structured :class:`SupervisedResult`; the
 supervisor never raises for worker misbehaviour and never leaks a worker
 process (each attempt joins its process before returning).
 
-The supervisor is synchronous by design — the service runs it on worker
-threads via ``asyncio.to_thread`` — and uses the ``fork`` start method
-where available so workers inherit runtime-registered experiments, same
-as the CLI runner's pool.
+The supervisor is synchronous by design: the CLI runner
+(:func:`~repro.bench.runner.run_experiments` with ``jobs > 1``) calls it
+from a thread pool and the service from ``asyncio.to_thread``, so both
+front ends fork their workers here.  It uses the ``fork`` start method
+where available so workers inherit runtime-registered experiments.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..bench.engine import ExecutionEngine
+from .engine import ExecutionEngine
 
 __all__ = ["WorkSpec", "SupervisedResult", "WorkerSupervisor"]
 
@@ -77,8 +81,6 @@ class SupervisedResult:
 
 def _child_main(conn, spec: WorkSpec) -> None:
     """Worker-process entry point: execute, ship the payload, exit."""
-    import signal
-
     # Shed the parent's asyncio signal plumbing.  A forked worker inherits
     # both the parent's SIGTERM/SIGINT handlers and its signal wakeup fd —
     # so a supervisor SIGTERM aimed at a hung worker would write into the
@@ -101,8 +103,8 @@ def _child_main(conn, spec: WorkSpec) -> None:
 
 
 def _pool_context():
-    """Fork where available (workers inherit runtime-registered
-    experiments, mirroring the CLI runner's pool)."""
+    """Fork where available, so workers inherit runtime-registered
+    experiments (tests register some after import)."""
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -154,7 +156,7 @@ class WorkerSupervisor:
         """
         recv, send = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
-            target=_child_main, args=(send, spec), name="repro-serve-worker"
+            target=_child_main, args=(send, spec), name="repro-worker"
         )
         proc.start()
         send.close()
@@ -262,7 +264,16 @@ class WorkerSupervisor:
                     exitcodes=exitcodes,
                 )
             # status == "crashed": retry with exponential backoff while the
-            # budget and the deadline allow.
+            # budget and the deadline allow, unless Ctrl-C killed it.
+            if exitcode == -signal.SIGINT:
+                return SupervisedResult(
+                    outcome="worker-crash",
+                    attempts=attempts,
+                    retries=attempts - 1,
+                    wall_s=wall_s,
+                    detail="worker interrupted by SIGINT; not retried",
+                    exitcodes=exitcodes,
+                )
             if attempts > self.retry_limit:
                 return SupervisedResult(
                     outcome="worker-crash",

@@ -294,21 +294,11 @@ class PCIeFabric:
         mps: int = DEFAULT_MPS,
         mrrs: int = DEFAULT_MRRS,
         write_quantum: int = 4096,
-        write_batch: int = 1,
     ):
-        if write_batch < 1:
-            raise SimulationError("write_batch must be >= 1")
         self.sim = sim
         self.mps = mps
         self.mrrs = mrrs
         self.write_quantum = write_quantum
-        # Batch-scheduling factor for posted writes: how many back-to-back
-        # quanta are coalesced into one scheduled transfer per hop.  1 (the
-        # default) preserves quantum-granular pipelining and bit-identical
-        # timing; larger values trade pipelining granularity for a
-        # proportional reduction in simulated events — useful for bulk
-        # sweeps where per-quantum interleaving does not matter.
-        self.write_batch = write_batch
         self.nodes: dict[str, FabricNode] = {}
         self.root: Optional[FabricNode] = None
         # Address index: sorted list of (base, limit, device).
@@ -500,29 +490,21 @@ class PCIeFabric:
         nbytes: int,
         payload: Any = None,
         quantum: Optional[int] = None,
-        batch: Optional[int] = None,
     ) -> Event:
-        """Posted write of *nbytes* to *addr*; fires on target absorption.
-
-        *batch* overrides the fabric's ``write_batch`` for this write:
-        how many back-to-back quanta are scheduled as one transfer.
-        """
+        """Posted write of *nbytes* to *addr*; fires on target absorption."""
         if nbytes <= 0:
             raise SimulationError("write needs a positive size")
         target = self.resolve(addr)
         behavior = target.describe_write(addr)
         route = self._route(self._device_node(initiator), self._device_node(target))
         q = quantum or self.write_quantum
-        b = batch if batch is not None else self.write_batch
-        if b < 1:
-            raise SimulationError("write batch must be >= 1")
         done = Event(self.sim)
         obs = self.sim._obs
         if obs is not None:
             span = obs.span("pcie", "write", initiator=initiator.name, nbytes=nbytes)
             done.callbacks.append(span.end_event)
         self.sim.process(
-            self._write_proc(initiator, addr, nbytes, payload, behavior, route, q, b, done),
+            self._write_proc(initiator, addr, nbytes, payload, behavior, route, q, done),
             name=f"wr:{initiator.name}->0x{addr:x}",
         )
         return done
@@ -532,35 +514,15 @@ class PCIeFabric:
         n_tlps = (addr + nbytes - 1) // self.mps - addr // self.mps + 1
         return nbytes + n_tlps * tlp_overhead(TlpKind.MEM_WRITE)
 
-    def _write_proc(self, initiator, addr, nbytes, payload, behavior, route, q, batch, done):
+    def _write_proc(self, initiator, addr, nbytes, payload, behavior, route, q, done):
         # Split into quanta that pipeline across hops.  The producer issues
         # each quantum's FIRST hop inline so that competing initiators
         # interleave fairly at shared links; the remaining hops run as a
         # detached callback chain, giving store-and-forward pipelining.
-        #
-        # With batch > 1, back-to-back quanta are coalesced: one scheduled
-        # transfer (and one hop chain) moves the batch's summed wire
-        # bytes.  TLP framing overhead is still accounted per quantum — the
-        # same TLPs cross the wire, the simulator just schedules them as a
-        # unit — so delivered bandwidth is unchanged while the event count
-        # drops by ~the batch factor.
-        quanta = list(fragment(addr, nbytes, max(q, self.mps)))
-        if batch > 1:
-            groups = []
-            for i in range(0, len(quanta), batch):
-                part = quanta[i : i + batch]
-                groups.append(
-                    (
-                        part[0][0],
-                        sum(s for _, s in part),
-                        sum(self._wire_bytes_for_write(a, s) for a, s in part),
-                    )
-                )
-        else:
-            groups = [
-                (qaddr, qsize, self._wire_bytes_for_write(qaddr, qsize))
-                for qaddr, qsize in quanta
-            ]
+        groups = [
+            (qaddr, qsize, self._wire_bytes_for_write(qaddr, qsize))
+            for qaddr, qsize in fragment(addr, nbytes, max(q, self.mps))
+        ]
         state = {"left": len(groups)}
 
         def _count(ev):

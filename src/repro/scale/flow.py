@@ -15,8 +15,8 @@ through the golden per-packet stack and fits
   service time of the RX Nios II — the pipeline bottleneck, §IV.C),
 * a per-hop term (pipelined link+router traversal),
 * per-byte sensitivities for a partial last fragment, and
-* back-to-back *occupancy* knots (the steady-state gap between
-  consecutive same-path messages, the LogP ``g`` of the flow model).
+* TX feed *occupancy* knots (the gap one PUT imposes on the next PUT
+  from the same source, the sender's LogP ``g``).
 
 Because the exact simulator is deterministic, calibration is a pure
 function of the :class:`~repro.apenet.config.ApenetConfig` and the
@@ -84,7 +84,7 @@ SINGLE_BYTE_KNOTS: Tuple[int, ...] = (64, 512, 1024, 2048, 3072, MAX_PACKET_PAYL
 #: probed at both a shallow (n=2) and a deep (n=9) pipeline and blended).
 MULTI_LAST_KNOTS: Tuple[int, ...] = (64, 512, 1024, 2048, 3072, MAX_PACKET_PAYLOAD)
 
-#: Fragment-count knots for the back-to-back occupancy probes.
+#: Fragment-count knots for the TX feed occupancy probes.
 OCCUPANCY_KNOTS: Tuple[int, ...] = (1, 9, 33)
 
 
@@ -227,7 +227,7 @@ class FlowCalibration:
     latency of a ``LATENCY_KNOTS[i]``-fragment PUT with a full last
     fragment; ``single_byte_times`` covers the sub-4-KiB single-fragment
     curve, ``multi_last_delta`` the partial-last-fragment correction, and
-    ``occ_times`` the back-to-back message gap.  ``hop_base`` is the
+    ``occ_tx_times`` the TX feed gap.  ``hop_base`` is the
     store-and-forward constant per extra hop (link + router latency); the
     last fragment's wire serialisation is added per hop at evaluation
     time, which is what makes the probed n=9 hop gap reproduce exactly.
@@ -247,8 +247,6 @@ class FlowCalibration:
     multi_last_delta_shallow: Tuple[float, ...]  # probed at n=2
     multi_last_delta: Tuple[float, ...]  # probed at n=9 (deep pipeline)
     occ_knots: Tuple[int, ...]
-    occ_times: Tuple[float, ...]
-    occ_single_small: float  # back-to-back gap, n=1 at 512 B payload
     occ_tx_times: Tuple[float, ...]  # TX feed gap (same src, distinct dsts)
     occ_tx_single_small: float  # TX feed gap, n=1 at 512 B payload
     per_fragment: float  # steady RX service time per extra fragment
@@ -279,17 +277,6 @@ class FlowCalibration:
         shallow = _interp(self.multi_last_knots, self.multi_last_delta_shallow, last, 0.0)
         w = min(max((n - 2) / 7.0, 0.0), 1.0)
         return shallow + w * (deep - shallow)
-
-    def occupancy(self, n: int, last: int) -> float:
-        """Steady back-to-back gap between same-path PUTs (LogP ``g``)."""
-        occ = _interp(self.occ_knots, self.occ_times, n, self.per_fragment)
-        if n == 1:
-            full = MAX_PACKET_PAYLOAD
-            slope = (self.occ_times[0] - self.occ_single_small) / (full - 512)
-            occ -= (full - last) * slope
-        else:
-            occ += self._last_delta(n, last)
-        return max(occ, self.per_fragment)
 
     def tx_feed(self) -> float:
         """Steady source feed time per full fragment (TX probes, n=1 -> 9)."""
@@ -402,7 +389,6 @@ def calibrate(
     from .exact import run_exact  # lazy: exact.py imports this module's types
 
     full = MAX_PACKET_PAYLOAD
-    half = MAX_PACKET_PAYLOAD // 2
 
     def probe(dims, transfers):
         agg = run_exact(dims, transfers, config=config)
@@ -448,20 +434,6 @@ def calibrate(
     t_h3 = one((6, 1, 1), 0, 3, 9 * full)
     hop_base = (t_h3 - t_h2) - (full + PACKET_HEADER_BYTES) / config.link_bandwidth
 
-
-    # Back-to-back occupancy: two identical PUTs posted immediately after
-    # one another; the completion gap is the steady per-message spacing.
-    def back_to_back(nbytes):
-        pair = [
-            BulkTransfer(0, 1, nbytes, src_kind=src_kind, dst_kind=dst_kind),
-            BulkTransfer(0, 1, nbytes, src_kind=src_kind, dst_kind=dst_kind),
-        ]
-        c0, c1 = probe((2, 1, 1), pair)
-        return c1 - c0
-
-    occ_times = tuple(back_to_back(n * full) for n in OCCUPANCY_KNOTS)
-    occ_single_small = back_to_back(512)
-
     # TX feed occupancy: same source, *distinct* destinations (both one
     # hop on a 2x2 mesh), so the completion gap isolates the sender-side
     # feed cost from any downstream pacing.
@@ -504,8 +476,6 @@ def calibrate(
         multi_last_delta_shallow=multi_last_delta_shallow,
         multi_last_delta=multi_last_delta,
         occ_knots=OCCUPANCY_KNOTS,
-        occ_times=occ_times,
-        occ_single_small=occ_single_small,
         occ_tx_times=occ_tx_times,
         occ_tx_single_small=occ_tx_single_small,
         per_fragment=per_fragment,

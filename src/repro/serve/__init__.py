@@ -32,10 +32,10 @@ See DESIGN.md §13 for the architecture and ``scripts/serve_smoke.py`` for
 a full client session (submit, poll, scrape, drain).
 """
 
+from ..bench.supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 from .http import HttpFrontend
 from .metrics import Counter, Gauge, Histogram, Registry
 from .service import Rejected, ServeConfig, SimulationService
-from .supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 
 __all__ = [
     "ServeConfig",

@@ -85,6 +85,11 @@ class HttpFrontend:
             if status:
                 self.service.m_http.inc(route=route, code=str(status))
             try:
+                # A worker forked while this connection was open holds a
+                # copy of its socket, so close() alone sends no FIN until
+                # that worker exits; shutting down the write side does.
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):

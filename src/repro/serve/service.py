@@ -16,7 +16,7 @@ owns:
   are answered from the shared on-disk :class:`~repro.bench.runner.ResultCache`
   (the same cache ``python -m repro.bench`` reads and writes);
 * a **supervised worker pool**: each execution runs on a single-shot
-  worker process watched by :class:`~repro.serve.supervisor.WorkerSupervisor`
+  worker process watched by :class:`~repro.bench.supervisor.WorkerSupervisor`
   (crash -> exponential-backoff retry within a bounded budget, hang ->
   deadline kill), with ``workers`` concurrent slots;
 * **graceful drain**: :meth:`begin_drain` stops admission (readiness and
@@ -42,8 +42,8 @@ from .. import __version__
 from ..bench import harness
 from ..bench.engine import deterministic_view
 from ..bench.runner import ResultCache, cache_key, default_cache_dir
+from ..bench.supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 from .metrics import Registry
-from .supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 
 __all__ = ["ServeConfig", "SimulationService", "Rejected"]
 

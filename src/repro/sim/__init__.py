@@ -8,8 +8,8 @@ Public surface:
   — shared-resource primitives (:mod:`repro.sim.resources`);
 * :class:`Channel`, :class:`RateLimiter` — bandwidth/latency pipes
   (:mod:`repro.sim.channel`);
-* :class:`OnlineStats`, :class:`TimeSeries`, :class:`FaultStats`,
-  :func:`percentile` — measurement helpers (:mod:`repro.sim.stats`).
+* :class:`OnlineStats`, :class:`FaultStats`, :func:`percentile` —
+  measurement helpers (:mod:`repro.sim.stats`).
 
 The event queue is a single binary heap of ``(t, seq, event)`` entries:
 equal-time events run in schedule order, so a given seed always produces
@@ -29,7 +29,7 @@ from .core import (
     kernel_event_count,
 )
 from .resources import ByteFifo, PacketFifo, Resource, Store
-from .stats import FaultStats, OnlineStats, TimeSeries, percentile
+from .stats import FaultStats, OnlineStats, percentile
 
 __all__ = [
     "Simulator",
@@ -49,6 +49,5 @@ __all__ = [
     "RateLimiter",
     "OnlineStats",
     "FaultStats",
-    "TimeSeries",
     "percentile",
 ]

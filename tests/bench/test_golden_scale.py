@@ -5,14 +5,12 @@ flow model is deterministic *model* time (no wall-clock anywhere), so
 every quick-mode comparison row is pinned with exact float equality, and
 the full per-row records for the <= 6^3 configs are pinned against the
 committed ``benchmarks/baselines/scale.json`` — drifting either means
-the flow model, the sharded BFS, or the calibration changed, and the
+the flow model, the large-torus BFS, or the calibration changed, and the
 goldens + baseline + EXPERIMENTS.md table must be refreshed together.
 
-The jobs-determinism test additionally proves the ISSUE-level property
-that ``--jobs 1`` and ``--jobs 4`` sweeps are bit-identical: inside a
-(daemonic) runner worker the shard pool falls back to serial expansion,
-and the contiguous-split/concat merge makes that fallback byte-equal to
-the pooled path.
+The jobs-determinism test additionally proves that ``--jobs 1`` and
+``--jobs 4`` sweeps are bit-identical: the experiment run in a
+supervised worker process reproduces the in-process run.
 """
 
 from __future__ import annotations
@@ -108,19 +106,17 @@ def test_golden_rows_match_committed_baseline(result):
 
 
 def test_jobs_1_vs_jobs_4_sweeps_are_bit_identical(result):
-    """The ISSUE-level determinism claim, through the real runner pool.
+    """The determinism claim, through the runner's supervised workers.
 
-    A >= 2-experiment sweep forces the fork pool (single-id sweeps run
-    in-process), so the scale experiment executes inside a daemonic
-    worker where frontier sharding falls back to serial — and must still
-    reproduce the pooled in-process run bit for bit.
+    With ``jobs=4`` the scale experiment executes in a forked worker
+    process and must reproduce the in-process run bit for bit.
     """
     records = run_experiments(["table1", "scale"], quick=True, jobs=4, use_cache=False)
     by_id = {r.experiment_id: r for r in records}
     rec = by_id["scale"]
     assert rec.status == "ok", rec.error
     assert [tuple(c) for c in rec.comparisons] == list(result.comparisons)
-    # The pool round-trips payloads through JSON (tuples -> lists), so
+    # The engine makes payloads JSON-safe (tuples -> lists), so
     # compare both sides in canonical JSON form; every number must still
     # be bit-identical.
     canon = lambda obj: json.loads(json.dumps(obj))

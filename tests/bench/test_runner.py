@@ -1,10 +1,14 @@
 """Tests for the parallel experiment runner and its on-disk result cache."""
 
 import json
+import os
+import signal
+import threading
 
 import pytest
 
 from repro.bench import harness
+from repro.bench.engine import deterministic_view
 from repro.bench.runner import (
     ResultCache,
     cache_key,
@@ -48,6 +52,71 @@ def failing_experiment():
         yield exp_id
     finally:
         harness._REGISTRY.pop(exp_id, None)
+
+
+@pytest.fixture
+def crash_once_experiment(tmp_path):
+    """SIGKILLs its worker on the first run, succeeds after.
+
+    The sentinel file lives on disk, so the retried worker (a fresh fork)
+    sees that the first attempt already crashed and completes.
+    """
+    exp_id = "_t_runner_crash_once"
+    sentinel = tmp_path / "crashed-once"
+
+    def runner(quick):
+        """Chaos runner: SIGKILL itself once, then behave."""
+        if not sentinel.exists():
+            sentinel.write_text("boom")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return harness.ExperimentResult(
+            experiment_id=exp_id,
+            title="crash-once runner experiment",
+            rendered="survived",
+            comparisons=[("metric", 7.0, 7.0, "units")],
+            data={"attempted": True},
+        )
+
+    harness.register(exp_id, "runner-test crash once", "—")(runner)
+    try:
+        yield exp_id
+    finally:
+        harness._REGISTRY.pop(exp_id, None)
+
+
+@pytest.fixture
+def crash_always_experiment():
+    exp_id = "_t_runner_crash_always"
+
+    def runner(quick):
+        """Chaos runner: always SIGKILL itself."""
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    harness.register(exp_id, "runner-test crash always", "—")(runner)
+    try:
+        yield exp_id
+    finally:
+        harness._REGISTRY.pop(exp_id, None)
+
+
+def run_guarded(*args, timeout_s=60.0, **kwargs):
+    """``run_experiments`` on a daemon thread: a hang fails the test
+    after *timeout_s* instead of stalling the suite."""
+    out = {}
+
+    def target():
+        try:
+            out["records"] = run_experiments(*args, **kwargs)
+        except BaseException as exc:  # re-raised in the test thread below
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"run_experiments still running after {timeout_s:g}s"
+    if "error" in out:
+        raise out["error"]
+    return out["records"]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +259,31 @@ def test_parallel_run_sees_runtime_registered_experiments(tmp_path, cheap_experi
     )
     assert [r.status for r in records] == ["ok", "ok"]
     assert records[0].comparisons == [("toy quantity", 3.0, 3.0, "units")]
+
+
+def test_killed_worker_is_retried_and_sweep_completes(
+    tmp_path, cheap_experiment, crash_once_experiment
+):
+    ids = [crash_once_experiment, cheap_experiment]
+    parallel = run_guarded(ids, jobs=2, cache_dir=tmp_path / "cache")
+    assert [r.status for r in parallel] == ["ok", "ok"]
+    # The sentinel now exists, so an in-process run takes the healthy path.
+    serial = run_guarded(ids, jobs=1, use_cache=False)
+    for p, s in zip(parallel, serial):
+        assert deterministic_view(p.to_dict()) == deterministic_view(s.to_dict())
+
+
+def test_always_crashing_worker_lands_as_uncached_error(
+    tmp_path, cheap_experiment, crash_always_experiment
+):
+    cache = ResultCache(tmp_path)
+    ids = [crash_always_experiment, cheap_experiment]
+    crashed, cheap = run_guarded(ids, jobs=2, cache_dir=tmp_path)
+    assert crashed.status == "error" and crashed.error_class == "worker-crash"
+    assert "retry budget" in crashed.error
+    assert cheap.status == "ok"
+    assert cache.get(cache_key(crash_always_experiment, quick=True)) is None
+    assert cache.get(cache_key(cheap_experiment, quick=True)) is not None
 
 
 def test_unknown_id_fails_fast(tmp_path):

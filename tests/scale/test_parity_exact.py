@@ -22,7 +22,7 @@ driver (:func:`repro.scale.exact.run_exact`) and the batched flow engine
   general cross contention    2.5e-1      5e-2
   =========================  ==========  =====================
 
-  (Back-to-back occupancy is probed at 1/9/33-fragment knots and
+  (The latency curve is probed at fragment-count knots and
   interpolated between them, so bursts of knot-aligned sizes track the
   exact driver much more tightly than off-knot sizes.)
 

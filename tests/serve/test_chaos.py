@@ -23,8 +23,8 @@ import pytest
 
 from repro.bench import harness
 from repro.bench.engine import ExecutionEngine, deterministic_view
+from repro.bench.supervisor import WorkerSupervisor
 from repro.serve import Rejected, ServeConfig, SimulationService
-from repro.serve.supervisor import WorkerSupervisor
 
 
 def _register(exp_id, run):

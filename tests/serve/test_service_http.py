@@ -8,12 +8,13 @@ the parser, router, and Connection: close discipline are all exercised.
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
 from repro.bench import harness
+from repro.bench.supervisor import WorkerSupervisor
 from repro.serve import HttpFrontend, ServeConfig, SimulationService
-from repro.serve.supervisor import WorkerSupervisor
 
 
 @pytest.fixture
@@ -180,9 +181,7 @@ def test_cache_hit_answers_200_without_execution(tmp_path, toy_experiment):
 
 def test_concurrent_identical_submissions_coalesce(toy_experiment, monkeypatch):
     # Hold the execution until all three are admitted, so the followers
-    # cannot miss it however fast the toy run is.  The gate sits before
-    # the worker fork: a worker forked while a connection is open would
-    # hold that socket, and the client's read-to-EOF would wait on it.
+    # cannot miss it however fast the toy run is.
     gate = threading.Event()
     real_run = WorkerSupervisor.run
 
@@ -211,6 +210,67 @@ def test_concurrent_identical_submissions_coalesce(toy_experiment, monkeypatch):
         assert service.m_completed.value(outcome="done") == 3
 
     serve_test(body)
+
+
+def test_response_ends_while_a_worker_holds_the_connection(tmp_path, monkeypatch):
+    """A worker forked while a connection is open inherits its socket; the
+    response must still reach EOF without waiting for that worker."""
+    exp_id = "_t_http_held"
+    started, release = tmp_path / "started", tmp_path / "release"
+
+    def run(quick):
+        """Held runner: signal that it started, then wait for release."""
+        started.write_text("1")
+        deadline = time.monotonic() + 30
+        while not release.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return harness.ExperimentResult(
+            experiment_id=exp_id,
+            title="held http experiment",
+            rendered="released",
+            comparisons=[("metric", 1.0, 1.0, "units")],
+        )
+
+    harness.register(exp_id, "held http experiment", "—")(run)
+
+    real_route = HttpFrontend._route
+
+    async def route_after_fork(self, method, path, body):
+        # Answer /submit only once its worker runs, so the worker is
+        # forked while this connection is still open.
+        answer = await real_route(self, method, path, body)
+        deadline = time.monotonic() + 10
+        while path == "/submit" and not started.exists() and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        return answer
+
+    monkeypatch.setattr(HttpFrontend, "_route", route_after_fork)
+
+    async def body(service, port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        payload = json.dumps({"experiment": exp_id}).encode()
+        writer.write(
+            b"POST /submit HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {len(payload)}\r\n\r\n".encode()
+            + payload
+        )
+        await writer.drain()
+        try:
+            # The worker waits for `release`, so it runs throughout this read.
+            raw = await asyncio.wait_for(reader.read(), timeout=5)
+        finally:
+            release.write_text("1")
+            writer.close()
+        assert raw.startswith(b"HTTP/1.1 202")
+        doc = json.loads(raw.partition(b"\r\n\r\n")[2])
+        final = await _poll_terminal(port, doc["request_id"])
+        assert final["state"] == "done"
+
+    try:
+        serve_test(body)
+    finally:
+        harness._REGISTRY.pop(exp_id, None)
 
 
 def test_readyz_flips_to_503_on_drain(toy_experiment):

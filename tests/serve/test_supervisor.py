@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench import harness
 from repro.bench.engine import ExecutionEngine, deterministic_view
-from repro.serve.supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
+from repro.bench.supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 
 
 def _register(exp_id, run):
@@ -115,6 +115,27 @@ def test_always_crashing_worker_exhausts_bounded_budget(tmp_path):
     assert res.attempts == 2  # 1 try + retry_limit retries, then terminal
     assert "retry budget" in res.detail
     assert exits == [-signal.SIGKILL, -signal.SIGKILL]
+    assert res.payload is None
+
+
+def test_sigint_worker_is_terminal_not_retried():
+    """Ctrl-C reaches every worker in the process group; none is re-forked."""
+    exp_id = "_t_sup_sigint"
+
+    def run(quick):
+        """Chaos runner: SIGINT itself, as a terminal Ctrl-C would."""
+        os.kill(os.getpid(), signal.SIGINT)
+
+    _register(exp_id, run)
+    retries = []
+    try:
+        sup = fast_supervisor(retry_limit=2, on_retry=lambda: retries.append(1))
+        res = sup.run(WorkSpec(exp_id), deadline_s=30)
+    finally:
+        harness._REGISTRY.pop(exp_id, None)
+    assert res.outcome == "worker-crash" and "SIGINT" in res.detail
+    assert res.attempts == 1 and res.retries == 0 and retries == []
+    assert res.exitcodes == [-signal.SIGINT]
     assert res.payload is None
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import OnlineStats, TimeSeries, percentile
+from repro.sim import OnlineStats, percentile
 
 
 # ---------------------------------------------------------------------------
@@ -59,23 +59,3 @@ def test_percentile_errors():
         percentile([], 50)
     with pytest.raises(ValueError):
         percentile([1], 101)
-
-
-# ---------------------------------------------------------------------------
-# TimeSeries
-# ---------------------------------------------------------------------------
-
-
-def test_time_series_average():
-    ts = TimeSeries()
-    ts.append(0, 10.0)
-    ts.append(50, 20.0)
-    assert ts.time_average(100) == pytest.approx(15.0)
-    assert ts.maximum() == 20.0
-
-
-def test_time_series_rejects_unordered():
-    ts = TimeSeries()
-    ts.append(10, 1.0)
-    with pytest.raises(ValueError):
-        ts.append(5, 2.0)
